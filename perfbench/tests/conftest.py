@@ -1,0 +1,11 @@
+"""Make the benchmark's modules and the program's sources importable.
+
+Run with ``python3 -m pytest perfbench/tests -q`` from the repository root.
+"""
+
+import sys
+from pathlib import Path
+
+PERFBENCH = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(PERFBENCH.parent / "src"))
+sys.path.insert(0, str(PERFBENCH))
