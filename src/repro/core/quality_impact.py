@@ -35,6 +35,11 @@ BOUND_FUNCTIONS = {
 }
 """Selectable upper-bound constructions for the per-leaf guarantees."""
 
+_TREES = ("tree", "calibrated_tree")
+_LEAF_ARRAYS = ("leaf_upper", "leaf_point", "leaf_counts", "leaf_failures")
+"""State carried by :meth:`QualityImpactModel.state_dict` (stored on the
+model with a leading underscore)."""
+
 
 class QualityImpactModel:
     """Tree-based, calibrated estimator of input-quality-related uncertainty.
@@ -242,3 +247,56 @@ class QualityImpactModel:
             leaf_annotations=annotations,
             max_depth=max_depth,
         )
+
+    # ------------------------------------------------------------------
+    # Persistence
+    # ------------------------------------------------------------------
+    def state_dict(self) -> dict:
+        """Portable model: configuration, both trees and the leaf arrays.
+
+        ``tree`` is the grown tree and ``calibrated_tree`` its pruned copy
+        (each a :meth:`DecisionTreeClassifier.state_dict`); the ``leaf_*``
+        arrays hold the per-node calibration bounds and counts.  Entries
+        are ``None`` before :meth:`fit` / :meth:`calibrate`.
+        :meth:`from_state_dict` rebuilds a model with identical estimates.
+        """
+        state = {
+            "max_depth": self.max_depth,
+            "criterion": self.criterion,
+            "min_calibration_samples": self.min_calibration_samples,
+            "confidence": self.confidence,
+            "bound": self.bound,
+            "min_samples_leaf": self.min_samples_leaf,
+        }
+        for name in _TREES:
+            tree = getattr(self, f"_{name}")
+            state[name] = None if tree is None else tree.state_dict()
+        for name in _LEAF_ARRAYS:
+            state[name] = getattr(self, f"_{name}")
+        return state
+
+    @classmethod
+    def from_state_dict(cls, state: dict) -> "QualityImpactModel":
+        """Rebuild a model from :meth:`state_dict` output."""
+        try:
+            model = cls(
+                max_depth=state["max_depth"],
+                criterion=state["criterion"],
+                min_calibration_samples=state["min_calibration_samples"],
+                confidence=state["confidence"],
+                bound=state["bound"],
+                min_samples_leaf=state["min_samples_leaf"],
+            )
+            for name in _TREES:
+                tree = state[name]
+                if tree is not None:
+                    tree = DecisionTreeClassifier.from_state_dict(tree)
+                setattr(model, f"_{name}", tree)
+            for name in _LEAF_ARRAYS:
+                value = state[name]
+                setattr(model, f"_{name}", None if value is None else np.asarray(value))
+        except KeyError as missing:
+            raise ValidationError(
+                f"quality impact model state is missing key {missing.args[0]!r}"
+            ) from None
+        return model

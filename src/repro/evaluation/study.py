@@ -7,6 +7,11 @@ subsampling), embed frames, train the DDM, build and calibrate the stateless
 quality impact model, replay every series into traces, and build and
 calibrate the timeseries-aware QIM.
 
+The pipeline is deterministic for a given configuration, code and machine,
+so ``prepare_study_data`` memoizes it on disk (:mod:`repro.evaluation.cache`):
+a process that finds the entry of an earlier build loads the trained models
+and traces instead of re-running the chain, bit for bit the same.
+
 ``evaluate_study`` then scores every approach of the paper's Table I on the
 test traces and assembles the data behind Figs. 4-6.  The feature-importance
 sweep (Fig. 7) lives in :mod:`repro.evaluation.importance`.
@@ -28,6 +33,7 @@ from repro.datasets.augmentation import SensorModel, single_deficit_grid
 from repro.datasets.gtsrb import GTSRBLikeGenerator, N_CLASSES, TimeseriesDataset
 from repro.datasets.splits import subsample_dataset
 from repro.exceptions import ValidationError
+from repro.evaluation import cache as _cache
 from repro.evaluation.metrics import (
     MisclassificationByTimestep,
     misclassification_by_timestep,
@@ -251,6 +257,16 @@ def _build_ddm(config: StudyConfig):
     return SoftmaxRegression(epochs=config.ddm_epochs, seed=config.seed)
 
 
+def _feature_model(config: StudyConfig) -> PrototypeFeatureModel:
+    return PrototypeFeatureModel(
+        N_CLASSES, config.feature_config, seed=config.seed + 1
+    )
+
+
+def _layout(config: StudyConfig) -> QualityFactorLayout:
+    return QualityFactorLayout(SensorModel.SIGNAL_NAMES, config.taqf_names)
+
+
 def _quality_matrix(dataset: TimeseriesDataset) -> np.ndarray:
     """Stack the sensed quality signals of every frame, series order."""
     return np.vstack([series.sensed for series in dataset])
@@ -288,9 +304,21 @@ def prepare_study_data(config: StudyConfig | None = None) -> StudyData:
     """Run the full data/DDM/wrapper construction pipeline.
 
     Returns a :class:`StudyData` bundle that :func:`evaluate_study`, the
-    importance sweep, and the benchmarks all reuse.
+    importance sweep, and the benchmarks all reuse.  The result is cached
+    on disk per configuration (see :mod:`repro.evaluation.cache`); a cached
+    result is bitwise equal to a fresh build.
     """
     config = config or StudyConfig()
+    return _cache.memoize(
+        config,
+        lambda: _build_study_data(config),
+        _study_state,
+        lambda state: _study_from_state(config, state),
+    )
+
+
+def _build_study_data(config: StudyConfig) -> StudyData:
+    """The uncached pipeline behind :func:`prepare_study_data`."""
     rng = np.random.default_rng(config.seed)
     generator = GTSRBLikeGenerator(frames_per_series=config.frames_per_series)
 
@@ -323,9 +351,7 @@ def prepare_study_data(config: StudyConfig | None = None) -> StudyData:
     test_sub = subsample_dataset(test_aug, config.subsample_length, rng)
 
     # 3. Embeddings and DDM training (timeseries-agnostic, as in the paper).
-    feature_model = PrototypeFeatureModel(
-        N_CLASSES, config.feature_config, seed=config.seed + 1
-    )
+    feature_model = _feature_model(config)
     X_train, y_train, _ = feature_model.embed_dataset(train_aug, rng)
     X_cal, y_cal, _ = feature_model.embed_dataset(cal_sub, rng)
     X_test, y_test, _ = feature_model.embed_dataset(test_sub, rng)
@@ -353,7 +379,7 @@ def prepare_study_data(config: StudyConfig | None = None) -> StudyData:
     u_cal = stateless_qim.estimate_uncertainty(qf_cal)
     u_test = stateless_qim.estimate_uncertainty(_quality_matrix(test_sub))
 
-    layout = QualityFactorLayout(SensorModel.SIGNAL_NAMES, config.taqf_names)
+    layout = _layout(config)
     train_traces = _build_traces(train_aug, pred_train, u_train, layout)
     cal_traces = _build_traces(cal_sub, pred_cal, u_cal, layout)
     test_traces = _build_traces(test_sub, pred_test, u_test, layout)
@@ -379,6 +405,66 @@ def prepare_study_data(config: StudyConfig | None = None) -> StudyData:
         test_traces=test_traces,
         ddm_accuracy_train=float(np.mean(pred_train == y_train)),
         ddm_accuracy_test=float(np.mean(pred_test == y_test)),
+    )
+
+
+_TRACE_SETS = ("train", "calibration", "test")
+_TRACE_ARRAYS = ("outcomes", "uncertainties", "fused_outcomes", "features")
+
+
+def _study_state(data: StudyData) -> dict:
+    """What the cache stores: trained models, traces, accuracies.
+
+    The feature model and layout are functions of the configuration and
+    are rebuilt from it.  Each trace set is stored as one concatenated
+    array per trace field plus the per-trace lengths and truths.
+    """
+    traces = {}
+    for name in _TRACE_SETS:
+        series = getattr(data, f"{name}_traces")
+        packed = {
+            "truth": np.array([t.truth for t in series], dtype=np.int64),
+            "lengths": np.array([t.n_steps for t in series], dtype=np.int64),
+        }
+        for field_name in _TRACE_ARRAYS:
+            packed[field_name] = np.concatenate(
+                [getattr(t, field_name) for t in series]
+            )
+        traces[name] = packed
+    return {
+        "ddm": data.ddm.state_dict(),
+        "stateless_qim": data.stateless_qim.state_dict(),
+        "ta_qim": data.ta_qim.state_dict(),
+        "traces": traces,
+        "ddm_accuracy_train": data.ddm_accuracy_train,
+        "ddm_accuracy_test": data.ddm_accuracy_test,
+    }
+
+
+def _study_from_state(config: StudyConfig, state: dict) -> StudyData:
+    """Inverse of :func:`_study_state` for the same configuration."""
+    ddm_class = MLPClassifier if config.ddm_kind == "mlp" else SoftmaxRegression
+    traces = {}
+    for name in _TRACE_SETS:
+        packed = state["traces"][name]
+        cuts = np.cumsum(packed["lengths"])[:-1]
+        columns = [np.split(packed[f], cuts) for f in _TRACE_ARRAYS]
+        traces[name] = [
+            SeriesTrace(truth, *arrays)
+            for truth, *arrays in zip(packed["truth"].tolist(), *columns)
+        ]
+    return StudyData(
+        config=config,
+        layout=_layout(config),
+        ddm=ddm_class.from_state_dict(state["ddm"]),
+        feature_model=_feature_model(config),
+        stateless_qim=QualityImpactModel.from_state_dict(state["stateless_qim"]),
+        ta_qim=QualityImpactModel.from_state_dict(state["ta_qim"]),
+        train_traces=traces["train"],
+        calibration_traces=traces["calibration"],
+        test_traces=traces["test"],
+        ddm_accuracy_train=state["ddm_accuracy_train"],
+        ddm_accuracy_test=state["ddm_accuracy_test"],
     )
 
 

@@ -145,3 +145,43 @@ class SoftmaxRegression:
     def score(self, X, y) -> float:
         """Mean accuracy on the given data."""
         return float(np.mean(self.predict(X) == np.asarray(y)))
+
+    def state_dict(self) -> dict:
+        """Portable fitted model: hyperparameters, classes and parameters.
+
+        Scalars are JSON types and the parameters stay numpy arrays;
+        :meth:`from_state_dict` rebuilds a model with identical outputs.
+        """
+        if not self._fitted:
+            raise NotFittedError("SoftmaxRegression is not fitted; call fit() first")
+        return {
+            "learning_rate": float(self.learning_rate),
+            "epochs": int(self.epochs),
+            "batch_size": int(self.batch_size),
+            "l2": float(self.l2),
+            "seed": int(self.seed),
+            "classes": self.classes_,
+            "weights": self.weights_,
+            "bias": self.bias_,
+        }
+
+    @classmethod
+    def from_state_dict(cls, state: dict) -> "SoftmaxRegression":
+        """Rebuild a fitted model from :meth:`state_dict` output."""
+        try:
+            model = cls(
+                learning_rate=state["learning_rate"],
+                epochs=state["epochs"],
+                batch_size=state["batch_size"],
+                l2=state["l2"],
+                seed=state["seed"],
+            )
+            model.classes_ = np.asarray(state["classes"])
+            model.weights_ = np.asarray(state["weights"], dtype=float)
+            model.bias_ = np.asarray(state["bias"], dtype=float)
+        except KeyError as missing:
+            raise ValidationError(
+                f"softmax state is missing key {missing.args[0]!r}"
+            ) from None
+        model._fitted = True
+        return model

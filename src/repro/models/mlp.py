@@ -178,3 +178,46 @@ class MLPClassifier:
     def score(self, X, y) -> float:
         """Mean accuracy on the given data."""
         return float(np.mean(self.predict(X) == np.asarray(y)))
+
+    # ------------------------------------------------------------------
+    def state_dict(self) -> dict:
+        """Portable fitted network: hyperparameters, classes and parameters.
+
+        Scalars are JSON types and the parameters stay numpy arrays;
+        :meth:`from_state_dict` rebuilds a network with identical outputs.
+        """
+        if not self._fitted:
+            raise NotFittedError("MLPClassifier is not fitted; call fit() first")
+        return {
+            "hidden_sizes": [int(h) for h in self.hidden_sizes],
+            "learning_rate": float(self.learning_rate),
+            "epochs": int(self.epochs),
+            "batch_size": int(self.batch_size),
+            "l2": float(self.l2),
+            "seed": int(self.seed),
+            "classes": self.classes_,
+            "weights": list(self.weights_),
+            "biases": list(self.biases_),
+        }
+
+    @classmethod
+    def from_state_dict(cls, state: dict) -> "MLPClassifier":
+        """Rebuild a fitted network from :meth:`state_dict` output."""
+        try:
+            model = cls(
+                hidden_sizes=tuple(state["hidden_sizes"]),
+                learning_rate=state["learning_rate"],
+                epochs=state["epochs"],
+                batch_size=state["batch_size"],
+                l2=state["l2"],
+                seed=state["seed"],
+            )
+            model.classes_ = np.asarray(state["classes"])
+            model.weights_ = [np.asarray(w, dtype=float) for w in state["weights"]]
+            model.biases_ = [np.asarray(b, dtype=float) for b in state["biases"]]
+        except KeyError as missing:
+            raise ValidationError(
+                f"MLP state is missing key {missing.args[0]!r}"
+            ) from None
+        model._fitted = True
+        return model

@@ -12,6 +12,11 @@ All functions accept scalar or array-like ``successes`` and broadcast with
 ``trials`` following numpy rules, and all return plain ``float`` for scalar
 input and ``numpy.ndarray`` otherwise.
 
+The quantiles come from ``scipy.special`` (``betaincinv``, ``ndtri``), imported
+on first use: they are the kernels behind ``scipy.stats.beta.ppf`` and
+``norm.ppf``, bitwise equal to them, and importing ``scipy.stats`` would cost
+every ``import repro`` most of a second.
+
 Terminology: in this module a "success" is an *observed failure of the
 wrapped model* -- the event whose probability the wrapper bounds.  The bound
 returned by the ``*_upper`` functions therefore reads as "with probability at
@@ -22,7 +27,6 @@ value".
 from __future__ import annotations
 
 import numpy as np
-from scipy import stats as _sps
 
 from repro.exceptions import ValidationError
 
@@ -89,8 +93,10 @@ def clopper_pearson_upper(successes, trials, confidence: float = 0.999):
     upper = np.ones_like(k_b, dtype=float)
     open_mask = k_b < n_b
     if np.any(open_mask):
-        upper[open_mask] = _sps.beta.ppf(
-            confidence, k_b[open_mask] + 1.0, n_b[open_mask] - k_b[open_mask]
+        from scipy.special import betaincinv
+
+        upper[open_mask] = betaincinv(
+            k_b[open_mask] + 1.0, n_b[open_mask] - k_b[open_mask], confidence
         )
     return _as_input_shape(upper, successes, trials)
 
@@ -107,8 +113,10 @@ def clopper_pearson_lower(successes, trials, confidence: float = 0.999):
     lower = np.zeros_like(k_b, dtype=float)
     open_mask = k_b > 0
     if np.any(open_mask):
-        lower[open_mask] = _sps.beta.ppf(
-            1.0 - confidence, k_b[open_mask], n_b[open_mask] - k_b[open_mask] + 1.0
+        from scipy.special import betaincinv
+
+        lower[open_mask] = betaincinv(
+            k_b[open_mask], n_b[open_mask] - k_b[open_mask] + 1.0, 1.0 - confidence
         )
     return _as_input_shape(lower, successes, trials)
 
@@ -139,8 +147,10 @@ def wilson_upper(successes, trials, confidence: float = 0.999):
     tightness ablation.  Uses the one-sided normal quantile
     ``z = Phi^{-1}(confidence)``.
     """
+    from scipy.special import ndtri
+
     k, n = _validate(successes, trials, confidence)
-    z = _sps.norm.ppf(confidence)
+    z = ndtri(confidence)
     p_hat = k / n
     denom = 1.0 + z * z / n
     centre = p_hat + z * z / (2.0 * n)
@@ -157,9 +167,11 @@ def jeffreys_upper(successes, trials, confidence: float = 0.999):
     1 when ``k == n`` (the posterior quantile can otherwise be < 1 even
     with no observed non-events).
     """
+    from scipy.special import betaincinv
+
     k, n = _validate(successes, trials, confidence)
     k_b, n_b = np.broadcast_arrays(k, n)
-    upper = _sps.beta.ppf(confidence, k_b + 0.5, n_b - k_b + 0.5)
+    upper = betaincinv(k_b + 0.5, n_b - k_b + 0.5, confidence)
     upper = np.where(k_b >= n_b, 1.0, upper)
     return _as_input_shape(upper, successes, trials)
 

@@ -8,7 +8,9 @@ enough to audit, which is the transparency property the paper leans on.
 
 The tree is grown depth-first with an explicit stack (no recursion limits),
 using exact best-split search (:mod:`repro.trees.splitter`) and either gini
-or entropy impurity (:mod:`repro.trees.criteria`).
+or entropy impurity (:mod:`repro.trees.criteria`).  Each feature is sorted
+once at the root; every split partitions the per-feature sorted index lists
+between its children, so no node sorts again.
 """
 
 from __future__ import annotations
@@ -23,6 +25,20 @@ __all__ = ["DecisionTreeClassifier", "LEAF"]
 
 LEAF = -1
 """Sentinel used in the children arrays to mark a leaf node."""
+
+_NODE_ARRAYS = (
+    "classes",
+    "children_left",
+    "children_right",
+    "feature",
+    "threshold",
+    "value",
+    "impurity",
+    "n_node_samples",
+    "depth",
+)
+"""Fitted arrays carried by :meth:`DecisionTreeClassifier.state_dict`
+(stored on the tree with a trailing underscore)."""
 
 
 class DecisionTreeClassifier:
@@ -140,10 +156,17 @@ class DecisionTreeClassifier:
         n_total = X.shape[0]
         root_idx = np.arange(n_total)
         root = new_node(root_idx, 0)
-        stack: list[tuple[int, np.ndarray]] = [(root, root_idx)]
+        # Row f: the node's samples in stable ascending order of feature f.
+        # sample_idx stays ascending (children take masked subsets), so a
+        # masked subset of these rows is the child's stable sort order.
+        root_sorted = np.argsort(X, axis=0, kind="stable").T
+        stack: list[tuple[int, np.ndarray, np.ndarray]] = [
+            (root, root_idx, root_sorted)
+        ]
+        in_left = np.zeros(n_total, dtype=bool)
 
         while stack:
-            node_id, sample_idx = stack.pop()
+            node_id, sample_idx, sorted_idx = stack.pop()
             node_depth = depth[node_id]
             if self.max_depth is not None and node_depth >= self.max_depth:
                 continue
@@ -158,6 +181,7 @@ class DecisionTreeClassifier:
                 n_classes,
                 criterion_fn,
                 self.min_samples_leaf,
+                sorted_idx=sorted_idx,
             )
             if split is None:
                 continue
@@ -169,14 +193,20 @@ class DecisionTreeClassifier:
             right_idx = sample_idx[~go_left]
             if left_idx.size == 0 or right_idx.size == 0:
                 continue  # numerically degenerate threshold; refuse the split
+            in_left[left_idx] = True
+            sorted_left = in_left[sorted_idx]
+            in_left[left_idx] = False
+            n_features = sorted_idx.shape[0]
+            left_sorted = sorted_idx[sorted_left].reshape(n_features, -1)
+            right_sorted = sorted_idx[~sorted_left].reshape(n_features, -1)
             left_id = new_node(left_idx, node_depth + 1)
             right_id = new_node(right_idx, node_depth + 1)
             children_left[node_id] = left_id
             children_right[node_id] = right_id
             feature[node_id] = split.feature
             threshold[node_id] = split.threshold
-            stack.append((left_id, left_idx))
-            stack.append((right_id, right_idx))
+            stack.append((left_id, left_idx, left_sorted))
+            stack.append((right_id, right_idx, right_sorted))
 
         self.children_left_ = np.asarray(children_left, dtype=np.int64)
         self.children_right_ = np.asarray(children_right, dtype=np.int64)
@@ -316,24 +346,52 @@ class DecisionTreeClassifier:
 
     def copy(self) -> "DecisionTreeClassifier":
         """Return a deep copy of the fitted tree (for in-place pruning)."""
+        state = {
+            key: value.copy() if isinstance(value, np.ndarray) else value
+            for key, value in self.state_dict().items()
+        }
+        return type(self).from_state_dict(state)
+
+    # ------------------------------------------------------------------
+    # Persistence
+    # ------------------------------------------------------------------
+    def state_dict(self) -> dict:
+        """Portable fitted tree: hyperparameters and node arrays.
+
+        Scalars are JSON types and the node arrays stay numpy arrays;
+        :meth:`from_state_dict` rebuilds an identical tree.
+        """
         self._check_fitted()
-        clone = DecisionTreeClassifier(
-            max_depth=self.max_depth,
-            min_samples_split=self.min_samples_split,
-            min_samples_leaf=self.min_samples_leaf,
-            min_impurity_decrease=self.min_impurity_decrease,
-            criterion=self.criterion,
-        )
-        clone.classes_ = self.classes_.copy()
-        clone.n_features_in_ = self.n_features_in_
-        clone.children_left_ = self.children_left_.copy()
-        clone.children_right_ = self.children_right_.copy()
-        clone.feature_ = self.feature_.copy()
-        clone.threshold_ = self.threshold_.copy()
-        clone.value_ = self.value_.copy()
-        clone.impurity_ = self.impurity_.copy()
-        clone.n_node_samples_ = self.n_node_samples_.copy()
-        clone.depth_ = self.depth_.copy()
-        clone.node_count_ = self.node_count_
-        clone._fitted = True
-        return clone
+        state = {
+            "max_depth": self.max_depth,
+            "min_samples_split": self.min_samples_split,
+            "min_samples_leaf": self.min_samples_leaf,
+            "min_impurity_decrease": self.min_impurity_decrease,
+            "criterion": self.criterion,
+            "n_features_in": int(self.n_features_in_),
+        }
+        for name in _NODE_ARRAYS:
+            state[name] = getattr(self, f"{name}_")
+        return state
+
+    @classmethod
+    def from_state_dict(cls, state: dict) -> "DecisionTreeClassifier":
+        """Rebuild a fitted tree from :meth:`state_dict` output."""
+        try:
+            tree = cls(
+                max_depth=state["max_depth"],
+                min_samples_split=state["min_samples_split"],
+                min_samples_leaf=state["min_samples_leaf"],
+                min_impurity_decrease=state["min_impurity_decrease"],
+                criterion=state["criterion"],
+            )
+            tree.n_features_in_ = int(state["n_features_in"])
+            for name in _NODE_ARRAYS:
+                setattr(tree, f"{name}_", np.asarray(state[name]))
+        except KeyError as missing:
+            raise ValidationError(
+                f"tree state is missing key {missing.args[0]!r}"
+            ) from None
+        tree.node_count_ = int(tree.children_left_.size)
+        tree._fitted = True
+        return tree

@@ -183,3 +183,38 @@ class TestTransparency:
         qim = QualityImpactModel().fit(X, wrong)
         with pytest.raises(NotCalibratedError):
             qim.export_text()
+
+
+class TestStateDict:
+    def test_round_trip_gives_identical_estimates(self, calibrated, rng):
+        clone = QualityImpactModel.from_state_dict(calibrated.state_dict())
+        X = rng.uniform(size=(500, 3))
+        np.testing.assert_array_equal(
+            clone.estimate_uncertainty(X), calibrated.estimate_uncertainty(X)
+        )
+        np.testing.assert_array_equal(
+            clone.point_uncertainty(X), calibrated.point_uncertainty(X)
+        )
+        assert clone.leaf_table() == calibrated.leaf_table()
+        assert clone.export_text() == calibrated.export_text()
+        assert clone.min_calibration_samples == calibrated.min_calibration_samples
+
+    def test_grown_tree_survives_for_recalibration(self, calibrated, rng):
+        clone = QualityImpactModel.from_state_dict(calibrated.state_dict())
+        X_cal, wrong_cal = make_data(rng)
+        clone.calibrate(X_cal, wrong_cal)
+        calibrated.calibrate(X_cal, wrong_cal)
+        assert clone.leaf_table() == calibrated.leaf_table()
+
+    def test_unfitted_round_trip(self):
+        state = QualityImpactModel(max_depth=3, bound="wilson").state_dict()
+        assert state["tree"] is None and state["leaf_upper"] is None
+        clone = QualityImpactModel.from_state_dict(state)
+        assert clone.max_depth == 3 and clone.bound == "wilson"
+        assert not clone.is_calibrated
+
+    def test_missing_key_rejected(self, calibrated):
+        state = calibrated.state_dict()
+        del state["leaf_upper"]
+        with pytest.raises(ValidationError, match="leaf_upper"):
+            QualityImpactModel.from_state_dict(state)

@@ -160,12 +160,14 @@ class TestStudyResults:
 
 
 class TestReproducibility:
-    def test_same_seed_same_results(self, smoke_study_data):
-        from repro.evaluation.study import prepare_study_data
+    def test_same_seed_same_results(self):
+        # Two cold builds: the on-disk cache must not make this vacuous.
+        from repro.evaluation.study import _build_study_data
 
-        data2 = prepare_study_data(StudyConfig.smoke_scale())
-        assert data2.ddm_accuracy_test == smoke_study_data.ddm_accuracy_test
-        r1 = evaluate_study(smoke_study_data)
+        data1 = _build_study_data(StudyConfig.smoke_scale())
+        data2 = _build_study_data(StudyConfig.smoke_scale())
+        assert data2.ddm_accuracy_test == data1.ddm_accuracy_test
+        r1 = evaluate_study(data1)
         r2 = evaluate_study(data2)
         for a1, a2 in zip(r1.approaches, r2.approaches):
             assert a1.decomposition.brier == pytest.approx(a2.decomposition.brier)

@@ -80,6 +80,24 @@ class TestClassifiers:
         clf = factory().fit(X, y * 10 + 5)
         assert set(clf.predict(X)) <= {5, 15, 25}
 
+    def test_state_dict_round_trip_is_bitwise(self, factory, blobs, rng):
+        X, y = blobs
+        clf = factory().fit(X, y)
+        clone = type(clf).from_state_dict(clf.state_dict())
+        probe = rng.normal(0.0, 4.0, size=(50, 2))
+        np.testing.assert_array_equal(clone.predict_proba(probe), clf.predict_proba(probe))
+        np.testing.assert_array_equal(clone.predict(probe), clf.predict(probe))
+        assert clone.epochs == clf.epochs and clone.seed == clf.seed
+
+    def test_state_dict_unfitted_or_incomplete_rejected(self, factory, blobs):
+        with pytest.raises(NotFittedError):
+            factory().state_dict()
+        X, y = blobs
+        state = factory().fit(X, y).state_dict()
+        del state["classes"]
+        with pytest.raises(ValidationError, match="classes"):
+            type(factory()).from_state_dict(state)
+
     def test_unfitted_raises(self, factory):
         with pytest.raises(NotFittedError):
             factory().predict([[0.0, 0.0]])

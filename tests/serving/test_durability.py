@@ -598,7 +598,12 @@ class TestControllerDurability:
             if "delta_000002" in label and not refused:
                 refused.append(label)  # queue "full" for this one write
                 return False
-            return real_submit(label, write)
+            accepted = real_submit(label, write)
+            if accepted:
+                # Let the write land before the next tick, so the real
+                # queue never overruns: the only drop is the injected one.
+                controller._snapshot_writer.drain()
+            return accepted
 
         monkeypatch.setattr(controller._snapshot_writer, "submit", flaky_submit)
         with controller:

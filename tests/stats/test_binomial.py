@@ -185,3 +185,61 @@ class TestZeroFailureBound:
         bounds = zero_failure_bound(np.array([100, 1000]))
         assert bounds.shape == (2,)
         assert bounds[0] > bounds[1]
+
+
+class TestScipySpecialKernels:
+    """The bounds call ``scipy.special`` directly; pin that they stay
+    bitwise equal to the ``scipy.stats`` quantiles they replace."""
+
+    @pytest.fixture(scope="class")
+    def counts(self):
+        rng = np.random.default_rng(2023)
+        n = rng.integers(1, 5000, size=20_000).astype(float)
+        k = np.minimum(np.floor(rng.random(n.size) * (n + 1)), n)
+        return k, n
+
+    @pytest.mark.parametrize("q", [0.999, 0.9995, 0.95, 0.001])
+    def test_bitwise_equal_to_scipy_stats(self, counts, q):
+        k, n = counts
+        open_upper = k < n
+        expected = np.ones_like(k)
+        expected[open_upper] = sps.beta.ppf(
+            q, k[open_upper] + 1.0, n[open_upper] - k[open_upper]
+        )
+        np.testing.assert_array_equal(clopper_pearson_upper(k, n, q), expected)
+
+        open_lower = k > 0
+        expected = np.zeros_like(k)
+        expected[open_lower] = sps.beta.ppf(
+            1.0 - q, k[open_lower], n[open_lower] - k[open_lower] + 1.0
+        )
+        np.testing.assert_array_equal(clopper_pearson_lower(k, n, q), expected)
+
+        expected = np.where(
+            k >= n, 1.0, sps.beta.ppf(q, k + 0.5, n - k + 0.5)
+        )
+        np.testing.assert_array_equal(jeffreys_upper(k, n, q), expected)
+
+        z = sps.norm.ppf(q)
+        p_hat = k / n
+        expected = np.minimum(
+            1.0,
+            (p_hat + z * z / (2.0 * n)
+             + z * np.sqrt(p_hat * (1.0 - p_hat) / n + z * z / (4.0 * n * n)))
+            / (1.0 + z * z / n),
+        )
+        np.testing.assert_array_equal(wilson_upper(k, n, q), expected)
+
+    def test_import_does_not_load_scipy_stats(self):
+        import subprocess
+        import sys
+
+        code = (
+            "import sys, repro.evaluation; "
+            "print('scipy.stats' in sys.modules)"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True,
+            check=True,
+        )
+        assert out.stdout.strip() == "False"

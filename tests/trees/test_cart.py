@@ -192,3 +192,95 @@ class TestIntrospection:
         tree = DecisionTreeClassifier(max_depth=None).fit(X, y)
         # Distinct rows with distinct labels are perfectly separable.
         assert (tree.predict(X) == y).all()
+
+
+TREE_ARRAYS = (
+    "classes_",
+    "children_left_",
+    "children_right_",
+    "feature_",
+    "threshold_",
+    "value_",
+    "impurity_",
+    "n_node_samples_",
+    "depth_",
+)
+
+
+def assert_trees_identical(a, b):
+    assert a.node_count_ == b.node_count_
+    assert a.n_features_in_ == b.n_features_in_
+    for name in TREE_ARRAYS:
+        x, y = getattr(a, name), getattr(b, name)
+        assert x.dtype == y.dtype, name
+        np.testing.assert_array_equal(x, y, err_msg=name)
+
+
+class TestPresortedSplitSearch:
+    """fit() sorts each feature once and partitions the sorted lists; the
+    trees must equal those of the per-node sort."""
+
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        n_levels=st.integers(min_value=1, max_value=6),
+        n_classes=st.integers(min_value=2, max_value=4),
+        criterion=st.sampled_from(["gini", "entropy"]),
+        min_samples_leaf=st.integers(min_value=1, max_value=5),
+        max_depth=st.sampled_from([None, 2, 8]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_same_tree_as_per_node_sort(
+        self, seed, n_levels, n_classes, criterion, min_samples_leaf, max_depth
+    ):
+        import repro.trees.cart as cart
+
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 300))
+        # Few distinct values per column: heavy ties, incl. -0.0 vs 0.0.
+        levels = np.array([-1.5, -0.0, 0.0, 0.25, 2.0, 7.0])[:n_levels]
+        X = rng.choice(levels, size=(n, int(rng.integers(1, 5))))
+        y = rng.integers(0, n_classes, size=n)
+        params = dict(
+            max_depth=max_depth, criterion=criterion,
+            min_samples_leaf=min_samples_leaf,
+        )
+        presorted = DecisionTreeClassifier(**params).fit(X, y)
+
+        real_split = cart.find_best_split
+
+        def per_node_sort(*args, sorted_idx=None):
+            return real_split(*args)
+
+        cart.find_best_split = per_node_sort
+        try:
+            reference = DecisionTreeClassifier(**params).fit(X, y)
+        finally:
+            cart.find_best_split = real_split
+        assert_trees_identical(presorted, reference)
+
+
+class TestStateDict:
+    def test_round_trip_is_identical(self, separable):
+        X, y = separable
+        tree = DecisionTreeClassifier(max_depth=5, criterion="entropy").fit(X, y)
+        clone = DecisionTreeClassifier.from_state_dict(tree.state_dict())
+        assert_trees_identical(tree, clone)
+        assert clone.max_depth == 5 and clone.criterion == "entropy"
+        np.testing.assert_array_equal(clone.apply(X), tree.apply(X))
+
+    def test_state_scalars_are_plain_python(self, separable):
+        X, y = separable
+        state = DecisionTreeClassifier().fit(X, y).state_dict()
+        for key, value in state.items():
+            assert isinstance(value, (np.ndarray, int, float, str, type(None))), key
+
+    def test_unfitted_state_raises(self):
+        with pytest.raises(NotFittedError):
+            DecisionTreeClassifier().state_dict()
+
+    def test_missing_key_rejected(self, separable):
+        X, y = separable
+        state = DecisionTreeClassifier().fit(X, y).state_dict()
+        del state["threshold"]
+        with pytest.raises(ValidationError, match="threshold"):
+            DecisionTreeClassifier.from_state_dict(state)
