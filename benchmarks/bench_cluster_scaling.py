@@ -4,8 +4,7 @@ The sharded cluster's claim is threefold.  *Correctness*: partitioning
 1024 concurrent streams across shard workers by consistent hashing and
 merging each tick in input order is bitwise-identical to one
 single-process ``StreamingEngine`` -- asserted here unconditionally, for
-every transport (inproc, pipe, shm rings, TCP loopback) at every shard
-count.
+every transport (inproc, pipe, TCP loopback) at every shard count.
 *Scaling*: because a tick's per-stream work is embarrassingly parallel,
 4 pipe shards should deliver >= 2x the frames/sec of 1 shard at 1024+
 streams.  *Overlap*: the parent encodes shard k+1's payload while shard k
@@ -48,7 +47,7 @@ from repro.serving import (
 N_STREAMS = 1024
 N_TICKS = 6
 SHARD_COUNTS = (1, 2, 4)
-TRANSPORTS = ("inproc", "pipe", "shm", "tcp")
+TRANSPORTS = ("inproc", "pipe", "tcp")
 MIN_SPEEDUP_4_VS_1 = 2.0
 MIN_CORES_FOR_GATE = 4
 # PR-7 fan-out encode cost on pipe x 4, per tick, before the buffer-pool
@@ -194,7 +193,6 @@ def test_cluster_equivalence_and_scaling(
             )
     encode_per_tick = overlap["encode_seconds"] / overlap["ticks"]
     pool_pipe4 = overlap.get("pool", {})
-    shm_fanout = fanouts["shm", 4]
     lines += [
         f"pipe 4 vs 1 shard:     {scaling:.2f}x",
         f"inproc 1-shard vs single-process: {inproc_relative:.2f}x",
@@ -207,9 +205,6 @@ def test_cluster_equivalence_and_scaling(
         f"{pool_pipe4.get('misses', 0)} misses, "
         f"{pool_pipe4.get('bytes_copied', 0) / max(overlap['ticks'], 1) / 1e3:.0f} "
         "kB copied/tick",
-        f"shm-4 codec pool:      "
-        f"{shm_fanout.get('pool', {}).get('bytes_copied', 0) / N_TICKS / 1e3:.0f} "
-        "kB copied/tick (scatter-copied straight into ring slots)",
         "outputs identical:     True (all transports, all shard counts)",
         f"scaling gate (>= {MIN_SPEEDUP_4_VS_1}x): "
         + ("ASSERTED" if gate_active else f"RECORDED ONLY ({cores} core(s))"),
@@ -247,7 +242,6 @@ def test_cluster_equivalence_and_scaling(
                 ),
                 "encode_gate_max_relative": MAX_ENCODE_RELATIVE_TO_BASELINE,
                 "pipe4": pool_pipe4,
-                "shm4": shm_fanout.get("pool", {}),
             },
             "tracing": {
                 "tick_latency_seconds": traced_latencies,
@@ -531,8 +525,8 @@ def test_pipelined_window_overlaps_slow_shard(
     # exceeded -- from the engine's own high-water mark, the
     # controller's stats, and the published depth gauge.
     assert lockstep_inflight["window"] == 1
-    assert lockstep_inflight["max_depth"] == 0, (
-        "lockstep must route through step_batch, not the windowed path"
+    assert lockstep_inflight["max_depth"] == 1, (
+        "window 1 must keep exactly one tick in flight"
     )
     assert windowed_inflight["window"] == PIPELINE_WINDOW
     assert windowed_inflight["max_depth"] == PIPELINE_WINDOW

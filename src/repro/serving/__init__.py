@@ -11,9 +11,9 @@ The runtime-facing layer above the core wrapper, in three tiers:
 * a :class:`~repro.serving.cluster.ShardedEngine` that partitions streams
   across shard workers by consistent hashing and merges each tick back in
   input order.  Workers are reached through a pluggable transport
-  (:mod:`repro.serving.transport`: in-proc loopback, forked pipe workers,
-  zero-copy shared-memory rings (:mod:`repro.serving.shm`), or TCP to
-  ``repro serve-worker`` processes on other machines), all speaking the
+  (:mod:`repro.serving.transport`: in-proc loopback, forked pipe
+  workers, or TCP to ``repro serve-worker`` processes on other
+  machines), all speaking the
   versioned pickle-free wire codec of :mod:`repro.serving.protocol` --
   encoded through a reusable
   :class:`~repro.serving.protocol.BufferPool` so steady-state ticks
@@ -22,7 +22,7 @@ The runtime-facing layer above the core wrapper, in three tiers:
   shard rebalances, and transport changes;
 * a :class:`~repro.serving.controller.ServingController` control plane
   that owns the tick loop for either engine -- frame intake, admission,
-  ``step_batch``, telemetry, policy hooks, snapshot cadence -- with two
+  submit/collect, telemetry, policy hooks, snapshot cadence -- with two
   pluggable policies: latency-driven
   :class:`~repro.serving.controller.AutoscalePolicy` (EWMA vs. budget
   with hysteresis, driving ``rebalance``) and QoS
@@ -95,7 +95,6 @@ from repro.serving.state import (
     StreamStateSnapshot,
     compose_snapshot,
 )
-from repro.serving.shm import ShmTransport
 from repro.serving.transport import (
     InprocTransport,
     PipeTransport,
@@ -140,7 +139,6 @@ __all__ = [
     "Transport",
     "InprocTransport",
     "PipeTransport",
-    "ShmTransport",
     "TcpTransport",
     "serve_worker",
     "launch_local_workers",

@@ -246,6 +246,36 @@ def encode_step_results(results: list[StreamStepResult]) -> dict:
 _PLACEMENT_CACHE_LIMIT = 1 << 20
 
 
+class _Tick:
+    """One submitted cluster tick, from fan-out until it is collected.
+
+    ``per_shard`` lists each shard's frame indices and ``order`` is the
+    send order (busy shards first); the stacked tick-wide matrices are
+    what :meth:`ShardedEngine._payload` slices.  ``pending`` names the
+    shards still owing a reply on the wire and ``replies`` keeps every
+    ok reply received so far -- after a failed collect the tick stays
+    at the head of the window with ``pending`` empty, and the retried
+    collect resends only to the shards that have no ok reply.
+    ``results`` is set up front when a lone in-proc shard stepped the
+    tick during submit.
+    """
+
+    __slots__ = (
+        "number", "frames", "per_shard", "order", "rows", "quality",
+        "new_series", "scope", "stack_seconds", "pending", "replies", "rpc",
+        "results", "submitted_at",
+    )
+
+    def __init__(self, number: int, frames: list) -> None:
+        self.number = number
+        self.frames = frames
+        self.pending: list[int] = []
+        self.replies: dict = {}
+        self.rpc: dict | None = None
+        self.results: list | None = None
+        self.submitted_at = time.monotonic()
+
+
 class ShardedEngine:
     """Multi-worker serving cluster with the single-engine interface.
 
@@ -274,15 +304,16 @@ class ShardedEngine:
         A :class:`~repro.serving.transport.Transport` instance, or one of
         ``"pipe"`` (default), ``"inproc"``, ``"tcp:HOST:PORT,..."``.
     inflight_window:
-        Maximum cluster ticks in flight at once (>= 1).  At 1 (the
-        default) :meth:`step_batch` is the only serving path and nothing
-        changes.  Above 1 a caller may pipeline:
-        :meth:`submit_batch` fans tick t+1 out while tick t's replies
-        are still streaming back, and :meth:`collect_batch` merges
-        completed ticks strictly in submission order -- results are
-        bitwise-identical to lockstep because every shard still serves
-        its requests FIFO.  Requests are tick-tagged on the wire and the
-        echo is verified, so replies can never pair with the wrong tick.
+        Maximum cluster ticks in flight at once (>= 1).  Every tick is
+        a :meth:`submit_batch` followed, some time later, by the
+        :meth:`collect_batch` that merges it; :meth:`step_batch` is the
+        two back to back.  At 1 (the default) that is the whole story.
+        Above 1 a caller may pipeline: tick t+1 fans out while tick t's
+        replies are still streaming back, and ticks complete strictly in
+        submission order -- results are bitwise-identical to window 1
+        because every shard still serves its requests FIFO.  Step
+        requests are always tick-tagged on the wire and the echo is
+        verified, so a reply can never pair with the wrong tick.
 
     Use as a context manager (or call :meth:`close`) to reap the workers.
     """
@@ -322,15 +353,12 @@ class ShardedEngine:
         self._fanout_ticks = 0
         self._fanout_encode_seconds = 0.0
         self._fanout_overlap_seconds = 0.0
-        #: Submitted-but-uncollected ticks, oldest first; each entry is
-        #: one :meth:`submit_batch`'s bookkeeping.  Depth lives here (not
-        #: on endpoints) so proxy transports (chaos, flight recording)
-        #: need no introspection surface.
-        self._inflight: deque = deque()
+        #: Submitted-but-uncollected ticks (:class:`_Tick`), oldest
+        #: first.  Depth lives here (not on endpoints) so proxy
+        #: transports (chaos, flight recording) need no introspection
+        #: surface.
+        self._inflight: deque[_Tick] = deque()
         self._inflight_max_depth = 0
-        #: Surviving shards' ok replies from the last failed lockstep
-        #: tick (see :meth:`salvage_step`); ``None`` = nothing to salvage.
-        self._salvage: dict | None = None
         #: Optional tick tracer (duck-typed; see :func:`_null_span`).
         #: The :class:`~repro.serving.controller.ServingController`
         #: attaches its own here so fan-out / per-shard step / merge
@@ -483,6 +511,14 @@ class ShardedEngine:
                 "operations"
             )
 
+    def _require_quiet(self) -> None:
+        """:meth:`revive_shard`, :meth:`replay_shard` and the resend of
+        a retried :meth:`collect_batch` may run beside a failed
+        collect's tick -- that is shard-local recovery -- but never
+        while a reply is still owed on some channel."""
+        if any(tick.pending for tick in self._inflight):
+            self._require_drained()
+
     def abort_window(self) -> int:
         """Drain and discard every in-flight tick's replies.
 
@@ -497,12 +533,7 @@ class ShardedEngine:
         """
         aborted = len(self._inflight)
         while self._inflight:
-            record = self._inflight.popleft()
-            for shard in record.get("pending", ()):
-                worker = self._workers[shard]
-                reply = worker.recv()
-                if reply[0] != "ok" and not worker.alive:
-                    self._note_dead(shard)
+            self._drain(self._inflight.popleft())
         return aborted
 
     def revive_shard(
@@ -544,7 +575,7 @@ class ShardedEngine:
         then stays in :attr:`dead_shards` and the call can be retried.
         """
         self._require_open()
-        self._require_drained()
+        self._require_quiet()
         if not 0 <= shard < len(self._workers):
             raise ValidationError(
                 f"shard {shard} is not a current worker "
@@ -577,55 +608,28 @@ class ShardedEngine:
 
         The O(dead-shard) recovery primitive: after
         :meth:`revive_shard` restored the shard's checkpoint, each
-        journaled batch is filtered to the frames this shard owns and
-        resent to it -- byte-identical to the lockstep fan-out payloads
-        it originally received (frameless batches become empty ticks so
-        TTL clocks advance exactly).  Surviving shards are never
-        touched.  Returns the number of ticks replayed.
+        journaled batch -- the ticks that end at the cluster tick -- is
+        re-planned and only this shard's payload is resent, tagged with
+        its original tick number: byte-identical to the fan-out payload
+        it first received (a batch with none of its frames becomes an
+        empty tick, so TTL clocks advance exactly).  Surviving shards
+        are never touched.  Returns the number of ticks replayed.
         """
         self._require_open()
-        self._require_drained()
+        self._require_quiet()
         if not 0 <= shard < len(self._workers):
             raise ValidationError(
                 f"shard {shard} is not a current worker "
                 f"(cluster has {len(self._workers)})"
             )
-        worker = self._workers[shard]
         batches = list(batches)
-        for frames in batches:
-            mine = [
-                frame
-                for frame in frames
-                if self.shard_for(frame.stream_id) == shard
-            ]
-            if not mine:
-                worker.request("step", None)
-                continue
-            rows, quality = validate_tick_frames(
-                mine,
-                n_stateless=self._engine_shape["n_stateless"],
-                has_scope_model=self._engine_shape["has_scope_model"],
-            )
-            if self.transport.requires_wire_ids:
-                for frame in mine:
-                    require_wire_id(frame.stream_id)
-                scope_rows = [
-                    sanitize_wire_scope(frame.scope_factors, frame.stream_id)
-                    for frame in mine
-                ]
-            else:
-                scope_rows = [frame.scope_factors for frame in mine]
-            payload = self._shard_payload(
-                mine,
-                np.asarray(rows),
-                np.asarray(quality),
-                np.fromiter(
-                    (frame.new_series for frame in mine), bool, len(mine)
-                ),
-                scope_rows,
-                list(range(len(mine))),
-            )
-            worker.request("step", payload)
+        first = self._tick - len(batches) + 1
+        for offset, frames in enumerate(batches):
+            tick = self._plan(first + offset, list(frames))
+            self._send_step(tick, [shard])
+            failure = self._drain(tick)
+            if failure is not None:
+                raise_worker_error(*failure)
         return len(batches)
 
     # ------------------------------------------------------------------
@@ -721,7 +725,7 @@ class ShardedEngine:
         ``pool`` mirrors the transport's send-side
         :class:`~repro.serving.protocol.BufferPool` counters (hits,
         misses, bytes_copied) for transports that pool their frame
-        buffers (pipe, shm); transports without a pool omit the key.
+        buffers (pipe); transports without a pool omit the key.
 
         ``inflight`` describes the pipelined-tick window: the configured
         ``window`` bound, current ``depth`` (submitted-but-uncollected
@@ -734,7 +738,7 @@ class ShardedEngine:
         ``repro_fanout_*_total`` families (as deltas, after each tick),
         so the scraped values and this dict always agree.
         """
-        oldest = self._inflight[0]["submitted_at"] if self._inflight else None
+        oldest = self._inflight[0].submitted_at if self._inflight else None
         stats = {
             "ticks": self._fanout_ticks,
             "encode_seconds": self._fanout_encode_seconds,
@@ -863,11 +867,13 @@ class ShardedEngine:
     def step_batch(self, frames: Sequence[StreamFrame]) -> list[StreamStepResult]:
         """One cluster tick; same contract and results as the single engine.
 
-        Frames fan out to their shards, every worker steps concurrently
-        (shards without frames tick on an empty batch so TTL clocks stay
-        cluster-wide), and the merged results come back in input order.
-        Fan-out is overlapped: a shard's payload is on the wire before
-        the next shard's is encoded.
+        :meth:`submit_batch` then :meth:`collect_batch`, with nothing
+        else in flight: frames fan out to their shards, every worker
+        steps concurrently (shards without frames tick on an empty batch
+        so TTL clocks stay cluster-wide), and the merged results come
+        back in input order.  A tick that fails is aborted before the
+        error propagates, so the cluster is drained again for
+        :meth:`restore` or :meth:`revive_shard`.
 
         A 1-shard in-proc cluster takes the fast path: frames delegate
         straight to the worker engine with no payload packing or result
@@ -875,552 +881,278 @@ class ShardedEngine:
         cluster interface (errors then surface exactly as the single
         engine raises them, without the ``[shard N]`` diagnostic prefix).
         """
-        self._require_healthy()
         self._require_drained()
-        self._salvage = None
-        frames = list(frames)
-        engine = self._single_inproc_engine()
-        if engine is not None:
-            results = engine.step_batch(frames)
-            self._tick += 1
-            return results
-        if not frames:
-            self._request_all([(worker, "step", None) for worker in self._workers])
-            self._tick += 1
-            return []
-
-        tracer = self.tracer
-        span = tracer.span if tracer is not None else _null_span
-
-        with span("fanout", frames=len(frames), shards=self.n_shards):
-            # Parent-side validation is the single engine's whole-tick
-            # atomic reject, byte-identical by construction (shared
-            # helper): every input error checkable without the models
-            # rejects here with no state change on any shard.  Only
-            # failures a worker detects mid-tick -- a raising monitor
-            # factory, a broken taQIM -- remain atomic per shard rather
-            # than per cluster.
-            rows, quality = validate_tick_frames(
-                frames,
-                n_stateless=self._engine_shape["n_stateless"],
-                has_scope_model=self._engine_shape["has_scope_model"],
-            )
-            if self.transport.requires_wire_ids:
-                # Reject before fan-out, like every other input error:
-                # payloads that cannot cross the codec (exotic ids,
-                # non-JSON scope values) must not half-execute a tick.
-                # Numpy-scalar scope values are unwrapped to exact
-                # Python equivalents.
-                for frame in frames:
-                    require_wire_id(frame.stream_id)
-                scope_rows = [
-                    sanitize_wire_scope(frame.scope_factors, frame.stream_id)
-                    for frame in frames
-                ]
-            else:
-                scope_rows = [frame.scope_factors for frame in frames]
-
-            per_shard: list[list[int]] = [[] for _ in self._workers]
-            for index, frame in enumerate(frames):
-                per_shard[self.shard_for(frame.stream_id)].append(index)
-
-            # Overlapped fan-out: encode + send one shard at a time, busy
-            # shards first, so shard k is computing while the parent
-            # encodes shard k+1; frameless shards get their (trivial)
-            # empty tick last.
-            order = [s for s, indices in enumerate(per_shard) if indices]
-            order += [s for s, indices in enumerate(per_shard) if not indices]
-            sent = []
-            first_sent = False
-            # Stack the whole tick's inputs once (one vectorized pass)
-            # instead of vstack-ing per-frame rows per shard; payloads
-            # below fancy-index these matrices.  Shared payload-build
-            # work, so it counts toward encode_seconds.  Fan-out cost is
-            # metered in parent *CPU* time: on an oversubscribed host
-            # the send syscall wakes the worker and the scheduler may
-            # run the worker's whole step inside the parent's wall-clock
-            # window, which is worker compute, not serialization.
-            p_stack = time.process_time()
-            rows_matrix = np.asarray(rows)
-            quality_matrix = np.asarray(quality)
-            new_series_all = np.fromiter(
-                (frame.new_series for frame in frames), bool, len(frames)
-            )
-            encode_seconds = time.process_time() - p_stack
-            overlap_seconds = 0.0
-            rpc = {} if tracer is not None else None
-            try:
-                for shard in order:
-                    worker = self._workers[shard]
-                    indices = per_shard[shard]
-                    p_start = time.process_time()
-                    payload = (
-                        self._shard_payload(
-                            frames,
-                            rows_matrix,
-                            quality_matrix,
-                            new_series_all,
-                            scope_rows,
-                            indices,
-                        )
-                        if indices
-                        else None
-                    )
-                    if rpc is not None:
-                        # Sampled tick: the request carries a trace
-                        # context (workers piggyback phase timings on the
-                        # reply) and send..recv-done brackets the shard's
-                        # RPC envelope on the wall clock (timelines need
-                        # wall time, unlike the CPU-metered stats).
-                        worker.trace_context = {
-                            "tick": self._tick + 1,
-                            "shard": shard,
-                            "parent": "shard_step",
-                            "sampled": True,
-                        }
-                        rpc[shard] = {"send": time.perf_counter()}
-                    worker.send("step", payload)
-                    if rpc is not None:
-                        rpc[shard]["sent"] = time.perf_counter()
-                    shard_seconds = time.process_time() - p_start
-                    encode_seconds += shard_seconds
-                    if first_sent:
-                        # Build + send work done while at least one shard
-                        # was already computing its payload.
-                        overlap_seconds += shard_seconds
-                    first_sent = True
-                    sent.append(worker)
-            except Exception as error:
-                # Whatever failed mid-fan-out (a dead worker, an encode
-                # error), drain the shards already stepping so their
-                # channels stay in protocol.
-                for worker in sent:
-                    worker.recv()
-                if isinstance(error, ClusterWorkerError):
-                    self._note_dead(error.shard)
-                raise
-            self._fanout_ticks += 1
-            self._fanout_encode_seconds += encode_seconds
-            self._fanout_overlap_seconds += overlap_seconds
-
-        # Drain every reply before raising so the channels stay in
-        # protocol; failures report the lowest-numbered failing shard.
-        # Per-shard spans measure the wait for each reply: the first
-        # busy shard's span is the cluster's straggler time, later
-        # shards' replies are usually already buffered.
-        replies = {}
-        for shard in order:
-            with span("shard_step", shard=shard):
-                replies[shard] = self._workers[shard].recv()
-            if rpc is not None:
-                rpc[shard]["done"] = time.perf_counter()
-                rpc[shard]["telemetry"] = getattr(
-                    self._workers[shard], "last_telemetry", None
-                )
-        if rpc is not None:
-            self._last_rpc = {"tick": self._tick + 1, "shards": rpc}
-            self._harvest_worker_phases(rpc)
-        failure = None
-        for shard in sorted(order):
-            reply = replies[shard]
-            if reply[0] != "ok":
-                if not self._workers[shard].alive:
-                    self._note_dead(shard)
-                if failure is None:
-                    failure = (shard, reply[1], reply[2])
-        if failure is not None:
-            # Partial-tick salvage: every shard that answered ok has
-            # completed this tick -- keep those replies so the control
-            # plane can revive + replay just the failed shard(s) and
-            # finish the tick via salvage_step() instead of restoring
-            # the whole cluster and re-stepping every shard.
-            self._salvage = {
-                "frames": frames,
-                "per_shard": per_shard,
-                "order": order,
-                "replies": {
-                    shard: replies[shard]
-                    for shard in order
-                    if replies[shard][0] == "ok"
-                },
-                "build": (
-                    rows_matrix,
-                    quality_matrix,
-                    new_series_all,
-                    scope_rows,
-                ),
-            }
-            raise_worker_error(*failure)
-
-        with span("merge"):
-            results: list[StreamStepResult | None] = [None] * len(frames)
-            for shard in order:
-                indices = per_shard[shard]
-                if indices:
-                    self._merge_shard_results(
-                        frames, indices, replies[shard][1], results
-                    )
-        self._tick += 1
-        return results
-
-    # ------------------------------------------------------------------
-    # Partial-tick salvage (O(dead-shard) recovery)
-    # ------------------------------------------------------------------
-    @property
-    def salvage_pending(self) -> bool:
-        """True when the last failed lockstep tick kept its survivors'
-        replies and can complete via :meth:`salvage_step`."""
-        return self._salvage is not None
-
-    def salvage_step(self) -> list[StreamStepResult]:
-        """Complete the last failed lockstep tick shard-locally.
-
-        The failed :meth:`step_batch` kept every surviving shard's ok
-        reply; after the dead shard is revived (:meth:`revive_shard`
-        with its checkpoint) and replayed to the cluster tick
-        (:meth:`replay_shard`), this resends the tick's payload to just
-        the shard(s) that never answered ok -- byte-identical to the
-        original sends, since lockstep frames carry no tick tag --
-        merges the fresh replies with the kept ones in input order, and
-        completes the cluster tick.  If a resent shard fails again the
-        salvage context survives (minus any shard that answered ok
-        while draining), so the caller can revive and try once more, or
-        fall back to whole-cluster restore + replay.
-        """
-        self._require_healthy()
-        self._require_drained()
-        if self._salvage is None:
-            raise ClusterError("no partially-completed tick to salvage")
-        ctx = self._salvage
-        frames = ctx["frames"]
-        per_shard = ctx["per_shard"]
-        replies = ctx["replies"]
-        rows_matrix, quality_matrix, new_series_all, scope_rows = ctx["build"]
-        missing = [shard for shard in ctx["order"] if shard not in replies]
-        sent = []
+        self.submit_batch(frames)
         try:
-            for shard in missing:
-                indices = per_shard[shard]
-                payload = (
-                    self._shard_payload(
-                        frames,
-                        rows_matrix,
-                        quality_matrix,
-                        new_series_all,
-                        scope_rows,
-                        indices,
-                    )
-                    if indices
-                    else None
-                )
-                self._workers[shard].send("step", payload)
-                sent.append(shard)
-        except Exception as error:
-            # Drain the shards already resent; ok replies are kept (those
-            # shards completed the tick) so a later attempt resends only
-            # what is still missing.
-            for shard in sent:
-                reply = self._workers[shard].recv()
-                if reply[0] == "ok":
-                    replies[shard] = reply
-                elif not self._workers[shard].alive:
-                    self._note_dead(shard)
-            if isinstance(error, ClusterWorkerError):
-                self._note_dead(error.shard)
+            return self.collect_batch()
+        except Exception:
+            self.abort_window()
             raise
-        failure = None
-        for shard in sent:
-            reply = self._workers[shard].recv()
-            if reply[0] != "ok":
-                if not self._workers[shard].alive:
-                    self._note_dead(shard)
-                if failure is None:
-                    failure = (shard, reply[1], reply[2])
-            else:
-                replies[shard] = reply
-        if failure is not None:
-            raise_worker_error(*failure)
-        results: list[StreamStepResult | None] = [None] * len(frames)
-        for shard in ctx["order"]:
-            indices = per_shard[shard]
-            if indices:
-                self._merge_shard_results(
-                    frames, indices, replies[shard][1], results
-                )
-        self._tick += 1
-        self._salvage = None
-        return results
 
-    # ------------------------------------------------------------------
-    # Pipelined serving: bounded in-flight window
-    # ------------------------------------------------------------------
     def submit_batch(self, frames: Sequence[StreamFrame]) -> int:
         """Fan one tick out without waiting for its replies.
 
-        The send half of :meth:`step_batch`, for pipelined callers:
-        validation, placement, payload build, and the overlapped
-        per-shard sends all happen now; the replies stay on the wire
-        until :meth:`collect_batch`.  Up to :attr:`inflight_window`
-        ticks may be outstanding; submitting past the bound raises
-        (the window is the backpressure boundary, not a buffer).
+        Validation, placement, payload build, and the overlapped
+        per-shard sends all happen now (inside a ``fanout`` span); the
+        replies stay on the wire until :meth:`collect_batch`.  Up to
+        :attr:`inflight_window` ticks may be outstanding; submitting
+        past the bound raises (the window is the backpressure boundary,
+        not a buffer).
 
         Every step request is tick-tagged (reserved ``_tick`` meta) and
         workers echo the tag, so replies provably pair with the tick
-        they answer even with several in flight.  Returns the submitted
-        tick's number.  Validation failures raise before anything is
-        sent -- the window is unchanged.  A worker death mid-fan-out
-        drains this tick's partial sends (earlier in-flight ticks stay
-        owed; recover via :meth:`abort_window`) and raises.
+        they answer.  Returns the submitted tick's number.  Validation
+        failures raise before anything is sent -- the window is
+        unchanged.  A worker death mid-fan-out aborts the window
+        (earlier in-flight ticks included), drains this tick's partial
+        sends, and raises.
         """
         self._require_healthy()
-        self._salvage = None
         if len(self._inflight) >= self.inflight_window:
             raise ClusterError(
                 f"in-flight window is full ({self.inflight_window} "
                 "tick(s)); collect_batch() before submitting more"
             )
         frames = list(frames)
-        target_tick = self._tick + len(self._inflight) + 1
-        submitted_at = time.monotonic()
-
+        number = self._tick + len(self._inflight) + 1
         engine = self._single_inproc_engine()
         if engine is not None:
             # Single in-proc shard: nothing to overlap with -- the
-            # "worker" computes on this thread either way.  Step now so
-            # the submit/collect surface (and its ordering guarantee)
-            # still holds; results wait in the window for collection.
-            results = engine.step_batch(frames)
-            self._inflight.append(
-                {
-                    "kind": "engine",
-                    "tick": target_tick,
-                    "pending": (),
-                    "results": results,
-                    "submitted_at": submitted_at,
-                }
-            )
-            self._note_depth()
-            return target_tick
-
-        tracer = self.tracer
-        span = tracer.span if tracer is not None else _null_span
-
-        if not frames:
-            for worker in self._workers:
-                worker.tick_tag = target_tick
-            self._send_all(
-                [(worker, "step", None) for worker in self._workers]
-            )
-            self._inflight.append(
-                {
-                    "kind": "empty",
-                    "tick": target_tick,
-                    "frames": frames,
-                    "per_shard": [[] for _ in self._workers],
-                    "pending": list(range(len(self._workers))),
-                    "rpc": None,
-                    "submitted_at": submitted_at,
-                }
-            )
-            self._note_depth()
-            return target_tick
-
-        with span("fanout", frames=len(frames), shards=self.n_shards):
-            rows, quality = validate_tick_frames(
-                frames,
-                n_stateless=self._engine_shape["n_stateless"],
-                has_scope_model=self._engine_shape["has_scope_model"],
-            )
-            if self.transport.requires_wire_ids:
-                for frame in frames:
-                    require_wire_id(frame.stream_id)
-                scope_rows = [
-                    sanitize_wire_scope(frame.scope_factors, frame.stream_id)
-                    for frame in frames
-                ]
-            else:
-                scope_rows = [frame.scope_factors for frame in frames]
-
-            per_shard: list[list[int]] = [[] for _ in self._workers]
-            for index, frame in enumerate(frames):
-                per_shard[self.shard_for(frame.stream_id)].append(index)
-
-            order = [s for s, indices in enumerate(per_shard) if indices]
-            order += [s for s, indices in enumerate(per_shard) if not indices]
-            sent = []
-            first_sent = False
-            p_stack = time.process_time()
-            rows_matrix = np.asarray(rows)
-            quality_matrix = np.asarray(quality)
-            new_series_all = np.fromiter(
-                (frame.new_series for frame in frames), bool, len(frames)
-            )
-            encode_seconds = time.process_time() - p_stack
-            overlap_seconds = 0.0
-            rpc = {} if tracer is not None else None
-            try:
-                for shard in order:
-                    worker = self._workers[shard]
-                    indices = per_shard[shard]
-                    p_start = time.process_time()
-                    payload = (
-                        self._shard_payload(
-                            frames,
-                            rows_matrix,
-                            quality_matrix,
-                            new_series_all,
-                            scope_rows,
-                            indices,
-                        )
-                        if indices
-                        else None
-                    )
-                    worker.tick_tag = target_tick
-                    if rpc is not None:
-                        worker.trace_context = {
-                            "tick": target_tick,
-                            "shard": shard,
-                            "parent": "shard_step",
-                            "sampled": True,
-                        }
-                        rpc[shard] = {"send": time.perf_counter()}
-                    worker.send("step", payload)
-                    if rpc is not None:
-                        rpc[shard]["sent"] = time.perf_counter()
-                    shard_seconds = time.process_time() - p_start
-                    encode_seconds += shard_seconds
-                    if first_sent:
-                        overlap_seconds += shard_seconds
-                    first_sent = True
-                    sent.append(worker)
-            except Exception as error:
-                # Drain only THIS tick's partial sends; earlier in-flight
-                # ticks keep their owed replies (abort_window settles
-                # them during recovery).  Per-endpoint FIFO pairing makes
-                # the drained replies interchangeable -- all discarded.
-                for worker in sent:
-                    worker.recv()
-                if isinstance(error, ClusterWorkerError):
-                    self._note_dead(error.shard)
-                raise
-            self._fanout_ticks += 1
-            self._fanout_encode_seconds += encode_seconds
-            self._fanout_overlap_seconds += overlap_seconds
-
-        self._inflight.append(
-            {
-                "kind": "fanout",
-                "tick": target_tick,
-                "frames": frames,
-                "per_shard": per_shard,
-                "pending": list(order),
-                "rpc": rpc,
-                "submitted_at": submitted_at,
-            }
-        )
-        self._note_depth()
-        return target_tick
+            # "worker" computes on this thread either way.  Step now;
+            # the results wait in the window for collection.
+            tick = _Tick(number, frames)
+            tick.results = engine.step_batch(frames)
+        else:
+            tracer = self.tracer
+            span = tracer.span if tracer is not None else _null_span
+            with span(
+                "fanout", tick=number, frames=len(frames), shards=self.n_shards
+            ):
+                tick = self._plan(number, frames)
+                if tracer is not None:
+                    tick.rpc = {}
+                encode_seconds, overlap_seconds = self._send_step(
+                    tick, tick.order
+                )
+            if frames:
+                self._fanout_ticks += 1
+                self._fanout_encode_seconds += tick.stack_seconds + encode_seconds
+                self._fanout_overlap_seconds += overlap_seconds
+        self._inflight.append(tick)
+        if len(self._inflight) > self._inflight_max_depth:
+            self._inflight_max_depth = len(self._inflight)
+        return number
 
     def collect_batch(self) -> list[StreamStepResult]:
         """Wait for the *oldest* in-flight tick and merge its results.
 
-        The recv half of :meth:`step_batch`: blocks until every shard's
-        reply for the oldest submitted tick is in (``await_window``
-        spans per shard -- the genuine pipeline stall time, distinct
-        from lockstep's ``shard_step`` wait), verifies each reply's tick
-        echo, merges in input order (``merge_ready`` span), and
-        completes the cluster tick.  Ticks always complete in
-        submission order regardless of which shard finishes first --
-        that is the ordering guarantee windowed serving keeps.
+        Blocks until every shard's reply for the oldest submitted tick
+        is in (one ``shard_step`` span per shard: the first busy shard's
+        is the cluster's straggler time, later replies are usually
+        already buffered), verifies each reply's tick echo, merges in
+        input order (``merge`` span), and completes the cluster tick.
+        Ticks always complete in submission order regardless of which
+        shard finishes first.
 
-        A worker failure raises after this tick's replies are fully
-        drained; later in-flight ticks remain owed and the caller
-        settles them with :meth:`abort_window` before recovery.
+        A failed collect raises the lowest failing shard's error after
+        this tick's replies are fully drained.  The tick stays at the
+        head of the window with its ok replies kept: after the dead
+        shard is revived (:meth:`revive_shard`) and replayed to the
+        cluster tick (:meth:`replay_shard`), calling this again resends
+        the tick to just the shards that never answered ok -- so the
+        survivors never step it twice -- and merges (with later ticks
+        still in flight this refuses; settle the window with
+        :meth:`abort_window` before recovery instead).
         """
         self._require_open()
         if not self._inflight:
             raise ClusterError("collect_batch() with no tick in flight")
-        record = self._inflight.popleft()
-
-        if record["kind"] == "engine":
-            self._tick += 1
-            return record["results"]
-
-        tracer = self.tracer
-        span = tracer.span if tracer is not None else _null_span
-        rpc = record["rpc"]
-        replies = {}
-        mismatch = None
-        for shard in record["pending"]:
-            worker = self._workers[shard]
-            with span("await_window", shard=shard, tick=record["tick"]):
-                reply = worker.recv()
-            replies[shard] = reply
-            if rpc is not None and shard in rpc:
-                rpc[shard]["done"] = time.perf_counter()
-                rpc[shard]["telemetry"] = getattr(
-                    worker, "last_telemetry", None
+        tick = self._inflight[0]
+        if tick.results is None:
+            tracer = self.tracer
+            span = tracer.span if tracer is not None else _null_span
+            if not tick.pending:  # a failed collect, retried
+                self._require_healthy()
+                self._require_quiet()
+                tick.rpc = None  # its first capture is already harvested
+                self._send_step(
+                    tick, [s for s in tick.order if s not in tick.replies]
                 )
-            echo = getattr(worker, "last_reply_tick", None)
-            if reply[0] == "ok" and echo is not None and echo != record["tick"]:
-                mismatch = mismatch or (shard, echo)
-        if rpc is not None:
-            self._last_rpc = {"tick": record["tick"], "shards": rpc}
-            self._harvest_worker_phases(rpc)
-        if mismatch is not None:
-            # Belt over the endpoints' suspenders: a reply acknowledged
-            # for the wrong tick means pairing is broken cluster-wide.
-            shard, echo = mismatch
-            self._note_dead(shard)
-            raise ClusterError(
-                f"shard {shard} answered tick {echo}, expected "
-                f"{record['tick']}; reply pairing is broken"
-            )
-        failure = None
-        for shard in sorted(record["pending"]):
-            reply = replies[shard]
-            if reply[0] != "ok":
-                if not self._workers[shard].alive:
-                    self._note_dead(shard)
-                if failure is None:
-                    failure = (shard, reply[1], reply[2])
-        if failure is not None:
-            raise_worker_error(*failure)
-
-        frames = record["frames"]
-        with span("merge_ready", tick=record["tick"], frames=len(frames)):
-            results: list[StreamStepResult | None] = [None] * len(frames)
-            for shard, indices in enumerate(record["per_shard"]):
-                if indices:
-                    self._merge_shard_results(
-                        frames, indices, replies[shard][1], results
-                    )
+            failure = self._drain(tick, span)
+            if tick.rpc is not None:
+                self._last_rpc = {"tick": tick.number, "shards": tick.rpc}
+                self._harvest_worker_phases(tick.rpc)
+            if failure is not None:
+                raise_worker_error(*failure)
+            with span("merge", tick=tick.number, frames=len(tick.frames)):
+                tick.results = self._merge(tick)
+        self._inflight.popleft()
         self._tick += 1
-        return results
+        return tick.results
 
-    def _note_depth(self) -> None:
-        if len(self._inflight) > self._inflight_max_depth:
-            self._inflight_max_depth = len(self._inflight)
+    def _plan(self, number: int, frames: list) -> _Tick:
+        """Validate, place, and stack one tick's frames.
+
+        Every step payload comes from here and :meth:`_payload` -- the
+        first fan-out, a failed collect's resend, and journal replay
+        alike, so a resent or replayed shard receives exactly the bytes
+        it was first sent.  Parent-side validation is the single
+        engine's whole-tick atomic reject (shared helper): every input
+        error checkable without the models raises here, before anything
+        is sent.  Wire transports also refuse ids and scope values that
+        cannot cross the codec (numpy scalars are unwrapped to exact
+        Python equivalents).
+        """
+        rows, quality = validate_tick_frames(
+            frames,
+            n_stateless=self._engine_shape["n_stateless"],
+            has_scope_model=self._engine_shape["has_scope_model"],
+        )
+        if self.transport.requires_wire_ids:
+            for frame in frames:
+                require_wire_id(frame.stream_id)
+            scope = [
+                sanitize_wire_scope(frame.scope_factors, frame.stream_id)
+                for frame in frames
+            ]
+        else:
+            scope = [frame.scope_factors for frame in frames]
+        tick = _Tick(number, frames)
+        tick.scope = scope
+        tick.per_shard = [[] for _ in self._workers]
+        for index, frame in enumerate(frames):
+            tick.per_shard[self.shard_for(frame.stream_id)].append(index)
+        # Busy shards first, so shard k is computing while the parent
+        # encodes shard k+1; frameless shards get their empty tick last.
+        tick.order = [s for s, ix in enumerate(tick.per_shard) if ix]
+        tick.order += [s for s, ix in enumerate(tick.per_shard) if not ix]
+        # Stack the whole tick once; payloads fancy-index these
+        # matrices.  Shared payload-build work, so it counts toward
+        # encode_seconds (parent CPU time, see fanout_stats).
+        started = time.process_time()
+        tick.rows = np.asarray(rows)
+        tick.quality = np.asarray(quality)
+        tick.new_series = np.fromiter(
+            (frame.new_series for frame in frames), bool, len(frames)
+        )
+        tick.stack_seconds = time.process_time() - started
+        return tick
 
     @staticmethod
-    def _shard_payload(
-        frames, rows_matrix, quality_matrix, new_series_all, scope_rows, indices
-    ) -> dict:
-        """One shard's stacked-numpy step payload for this tick.
+    def _payload(tick: _Tick, shard: int) -> dict | None:
+        """One shard's stacked-numpy step payload (None: an empty tick).
 
         Fancy-indexes the tick-wide matrices (one C-level gather per
-        array, bitwise-identical to the per-shard ``np.vstack`` it
-        replaced at a fraction of the Python overhead).
+        array, bitwise-identical to a per-shard ``np.vstack`` at a
+        fraction of the Python overhead).
         """
-        scope = [scope_rows[i] for i in indices]
+        indices = tick.per_shard[shard]
+        if not indices:
+            return None
+        scope = [tick.scope[i] for i in indices]
         idx = np.asarray(indices, dtype=np.intp)
         return {
-            "ids": [frames[i].stream_id for i in indices],
-            "X": rows_matrix[idx],
-            "Q": quality_matrix[idx],
-            "new_series": new_series_all[idx],
+            "ids": [tick.frames[i].stream_id for i in indices],
+            "X": tick.rows[idx],
+            "Q": tick.quality[idx],
+            "new_series": tick.new_series[idx],
             "scope": scope if any(s is not None for s in scope) else None,
         }
+
+    def _send_step(self, tick: _Tick, shards) -> tuple[float, float]:
+        """Send ``tick``'s step request to each of ``shards``, in order.
+
+        Overlapped: a shard's payload is on the wire before the next
+        shard's is built.  Returns the parent CPU seconds spent building
+        and sending, and the part of them spent while an earlier shard
+        was already stepping (see :meth:`fanout_stats`).  A traced tick
+        (``tick.rpc`` set) sends a sampled trace context with each
+        request and brackets each RPC on the wall clock.  If a send
+        fails, the shards already sent are drained (their ok replies
+        kept on the tick) before the error propagates -- after the
+        replies any earlier tick still owes, which come first on every
+        channel; those ticks are aborted.
+        """
+        rpc = tick.rpc
+        encode_seconds = overlap_seconds = 0.0
+        try:
+            for shard in shards:
+                worker = self._workers[shard]
+                started = time.process_time()
+                payload = self._payload(tick, shard)
+                worker.tick_tag = tick.number
+                if rpc is not None:
+                    worker.trace_context = {
+                        "tick": tick.number,
+                        "shard": shard,
+                        "parent": "shard_step",
+                        "sampled": True,
+                    }
+                    rpc[shard] = {"send": time.perf_counter()}
+                worker.send("step", payload)
+                if rpc is not None:
+                    rpc[shard]["sent"] = time.perf_counter()
+                seconds = time.process_time() - started
+                encode_seconds += seconds
+                if tick.pending:
+                    overlap_seconds += seconds
+                tick.pending.append(shard)
+        except Exception as error:
+            owed = [other for other in self._inflight if other is not tick]
+            if any(other.pending for other in owed):
+                self.abort_window()
+            self._drain(tick)
+            if isinstance(error, ClusterWorkerError):
+                self._note_dead(error.shard)
+            raise
+        return encode_seconds, overlap_seconds
+
+    def _drain(self, tick: _Tick, span=_null_span):
+        """Read every reply ``tick`` is still owed; keep the ok ones.
+
+        The one reply loop -- collect, a failed send's cleanup, and
+        :meth:`abort_window` all come through here, so every channel
+        stays in protocol whatever failed.  A worker seen dead lands in
+        :attr:`dead_shards`; an ok reply that echoes another tick means
+        pairing is broken, so its shard counts as dead too.  Returns the
+        lowest failing shard's ``(shard, name, message)``, or None.
+        """
+        rpc = tick.rpc
+        failure = None
+        for shard in tick.pending:
+            worker = self._workers[shard]
+            with span("shard_step", shard=shard, tick=tick.number):
+                reply = worker.recv()
+            if rpc is not None and shard in rpc:
+                rpc[shard]["done"] = time.perf_counter()
+                rpc[shard]["telemetry"] = getattr(worker, "last_telemetry", None)
+            if reply[0] == "ok":
+                echo = getattr(worker, "last_reply_tick", None)
+                if echo is None or echo == tick.number:
+                    tick.replies[shard] = reply[1]
+                    continue
+                reply = (
+                    "error",
+                    "ClusterWorkerError",
+                    f"out-of-protocol reply (tick echo {echo!r} does not "
+                    f"match in-flight tick {tick.number!r})",
+                )
+                self._note_dead(shard)
+            elif not worker.alive:
+                self._note_dead(shard)
+            if failure is None or shard < failure[0]:
+                failure = (shard, reply[1], reply[2])
+        tick.pending = []
+        return failure
+
+    def _merge(self, tick: _Tick) -> list[StreamStepResult]:
+        results: list[StreamStepResult | None] = [None] * len(tick.frames)
+        for shard, indices in enumerate(tick.per_shard):
+            if indices:
+                self._merge_shard_results(
+                    tick.frames, indices, tick.replies[shard], results
+                )
+        return results
 
     @staticmethod
     def _merge_shard_results(frames, indices, encoded, results) -> None:
@@ -1553,7 +1285,6 @@ class ShardedEngine:
         """
         self._require_healthy()
         self._require_drained()
-        self._salvage = None  # the tick it belonged to is superseded
         split: list[list] = [[] for _ in self._workers]
         for stream in snapshot.streams:
             split[self.shard_for(stream.stream_id)].append(stream)
@@ -1591,7 +1322,6 @@ class ShardedEngine:
         """
         self._require_healthy()
         self._require_drained()
-        self._salvage = None  # placement is about to change under it
         if n_shards < 1:
             raise ValidationError(f"n_shards must be >= 1, got {n_shards}")
         limit = self.transport.max_shards()

@@ -10,10 +10,12 @@ time.  :class:`ServingController` extracts that loop once, for *both*
 :class:`~repro.serving.engine.StreamingEngine` and
 :class:`~repro.serving.cluster.ShardedEngine`:
 
-    frame intake -> admission -> ``step_batch`` -> telemetry
+    frame intake -> admission -> submit ... collect -> telemetry
                  -> policy hooks (autoscale) -> snapshot cadence
 
-and layers two pluggable policies on top:
+(a single-process engine steps at submit; a sharded engine keeps up to
+its in-flight window of ticks between the two), and layers two
+pluggable policies on top:
 
 * :class:`AutoscalePolicy` -- derives the shard count from an EWMA of the
   measured tick latency against a budget, with hysteresis: grow one shard
@@ -31,8 +33,8 @@ and layers two pluggable policies on top:
   ``admission_overflow`` statistic.
 
 **The disabled-policy invariant.**  A controller with both policies
-disabled runs ``engine.step_batch(frames)`` on the unmodified frame list
--- no reordering, no queues, no extra engine calls -- so its results,
+disabled hands the engine the unmodified frame list of every tick -- no
+reordering, no queues, no extra engine calls -- so its results,
 TTL evictions, and statistics are bitwise-identical to the hand-rolled
 loops it replaced.  Policies change *scheduling* only; every admitted
 frame's outcome is still produced by the same engines.
@@ -359,22 +361,28 @@ class _RecoveryLog:
 
 
 class _PendingTick:
-    """One admitted-but-uncollected tick of a pipelined run.
+    """One admitted tick, from its submit until its results are collected.
 
-    Holds everything the collect half needs to finish the tick's
-    bookkeeping -- the admitted batch (also the failover re-submit
-    payload), the staged admission outcome (committed only once the
-    engine accepted the tick's replies), and the submit timestamp the
-    latency measurement and backpressure age read.
+    Holds the admitted batch (also the failover re-submit payload), the
+    admission outcome (committed once the engine accepted the submit),
+    the controller-clock submit time the latency measurement and the
+    backpressure age read, the tracer-clock start of the tick's ``step``
+    span, and -- for an engine without an in-flight window -- the
+    results it returned at submit.
     """
 
-    __slots__ = ("batch", "submitted", "deferral", "before", "recovery")
+    __slots__ = (
+        "batch", "submitted", "deferral", "before", "step_start", "results",
+        "recovery",
+    )
 
     def __init__(self, batch, submitted, deferral, before) -> None:
         self.batch = batch
         self.submitted = submitted
         self.deferral = deferral
         self.before = before
+        self.step_start = None
+        self.results = None
         self.recovery = _RecoveryLog()
 
 
@@ -391,7 +399,9 @@ class ServingController:
         Any object with the ``step_batch`` contract -- a
         :class:`~repro.serving.engine.StreamingEngine` or a
         :class:`~repro.serving.cluster.ShardedEngine` on any transport.
-        Autoscaling additionally requires ``rebalance``.
+        An engine that also has ``submit_batch``/``collect_batch`` is
+        driven through those.  Autoscaling additionally requires
+        ``rebalance``.
     autoscale / admission:
         The two scheduling policies; ``None`` disables each.  With both
         disabled a controller tick is bitwise-identical to calling
@@ -584,11 +594,10 @@ class ServingController:
         self._seq = 0
         self._frame_seconds_ewma: float | None = None
         self._queues: dict[object, deque[_QueuedFrame]] = {}
-        # Pipelined-run state: the controller-side mirror of the
-        # engine's in-flight window (one _PendingTick per submitted,
-        # uncollected tick).  Nonempty only inside a windowed run();
-        # lockstep tick() never touches it, so the backpressure check
-        # it feeds is inert there.
+        # The controller-side mirror of the engine's in-flight window:
+        # one _PendingTick per submitted, uncollected tick.  Empty
+        # between ticks at window 1, so the backpressure check it
+        # feeds is inert there.
         self._pending_ticks: deque[_PendingTick] = deque()
         # Failover state: the in-memory recovery snapshot (refreshed
         # every journal_depth ticks and at every controller snapshot)
@@ -661,234 +670,94 @@ class ServingController:
     def tick(self, frames: Sequence[StreamFrame]) -> list[StreamStepResult]:
         """Run one controlled tick; returns the admitted frames' results.
 
-        With admission disabled the input frames pass through unmodified
+        The tick is admitted, submitted and collected before this
+        returns: :meth:`run` with one tick in flight.  With admission
+        disabled the input frames pass through unmodified
         (bitwise-identical to ``engine.step_batch(frames)``).  With it
         enabled the engine receives the admitted subset in deterministic
         priority-then-arrival order, and results cover only those frames
         -- deferred frames surface on the tick that admits them.
 
-        A tick the engine *rejects* (validation error) propagates with no
-        controller state change: nothing was admitted, no telemetry is
-        recorded, and with admission enabled the rejected tick's frames
-        are not queued (they were never accepted into the control plane).
+        A tick the engine *rejects* at submit (a validation error)
+        propagates with no controller state change: nothing was
+        admitted, no telemetry is recorded, and with admission enabled
+        the rejected tick's frames are not queued (they were never
+        accepted into the control plane).
         """
-        tracer = self.tracer
-        span = tracer.span if tracer is not None else null_span
-        try:
-            with span("intake"):
-                frames = list(frames)
-                submitted = len(frames)
-                if self.admission is not None:
-                    self._validate_intake(frames)
-            if self.admission is not None:
-                with span("admission"):
-                    admitted_q, deferral = self._admit(frames)
-                batch = [queued.frame for queued in admitted_q]
-            else:
-                admitted_q, deferral = None, None
-                batch = frames
-
-            recovery = _RecoveryLog()
-            before = self.clock()
-            try:
-                with span("step", frames=len(batch)):
-                    results = self._attempt(
-                        lambda: self.engine.step_batch(batch),
-                        recovery,
-                        kind="step",
-                    )
-            except Exception:
-                if deferral is not None:
-                    deferral.rollback()
-                    # The engine rejected the tick atomically; the
-                    # sequence counter must match a run where it never
-                    # happened, or a later snapshot would diverge from
-                    # the uninterrupted run.
-                    self._seq = deferral.seq_before
-                raise
-            latency = self.clock() - before
-            if self.failover is not None:
-                # Journal the admitted batch, then checkpoint once the
-                # journal is full: the recovery snapshot advances to the
-                # current state and the replay window restarts empty.
-                self._journal.append(batch)
-                if len(self._journal) >= self.failover.journal_depth:
-                    self._refresh_recovery_point(recovery)
-            if deferral is not None:
-                deferral.commit(self.admission.max_deferred_per_stream)
-                self.stats.frames_resumed += deferral.resumed
-                for queued in deferral.deferred_frames:
-                    self._note_deferred(queued)
-                for queued in deferral.dropped_frames:
-                    self._note_dropped(queued)
-
-            alpha = (
-                self.autoscale.ewma_alpha if self.autoscale is not None else 0.3
-            )
-            if self._latency_ewma is None:
-                self._latency_ewma = latency
-            else:
-                self._latency_ewma += alpha * (latency - self._latency_ewma)
-            if self.admission is not None and batch:
-                per_frame = latency / len(batch)
-                if self._frame_seconds_ewma is None:
-                    self._frame_seconds_ewma = per_frame
-                else:
-                    self._frame_seconds_ewma += self.admission.ewma_alpha * (
-                        per_frame - self._frame_seconds_ewma
-                    )
-
-            rebalanced_to = self._autoscale_step(recovery)
-            if (
-                self.snapshot_every
-                and self.engine.tick % self.snapshot_every == 0
-            ):
-                with span("snapshot"):
-                    self._write_snapshot(recovery)
-
-            slo_breaches = 0
-            slo_burn = 0.0
-            if self.slo is not None:
-                verdicts = self.slo.observe(latency)
-                slo_breaches = sum(1 for v in verdicts if v.breached)
-                slo_burn = max(
-                    (v.burn_short for v in verdicts), default=0.0
-                )
-                self.stats.slo_breaches += slo_breaches
-                self.stats.slo_alerts += sum(
-                    1 for v in verdicts if v.alerting
-                )
-
-            self.stats.ticks += 1
-            self.stats.frames_submitted += submitted
-            self.stats.frames_admitted += len(batch)
-            record = TickTelemetry(
-                tick=self.engine.tick,
-                submitted=submitted,
-                admitted=len(batch),
-                resumed=deferral.resumed if deferral is not None else 0,
-                deferred=(
-                    len(deferral.deferred_frames) if deferral is not None else 0
-                ),
-                dropped=(
-                    len(deferral.dropped_frames) if deferral is not None else 0
-                ),
-                backlog=self.backlog,
-                frame_budget=deferral.budget if deferral is not None else None,
-                latency_seconds=latency,
-                latency_ewma=self._latency_ewma,
-                n_shards=self.n_shards,
-                rebalanced_to=rebalanced_to,
-                failovers=recovery.failovers,
-                replay_depth=recovery.replayed,
-                recovery_seconds=recovery.seconds,
-                slo_breaches=slo_breaches,
-                slo_burn_rate=slo_burn,
-            )
-            self.telemetry.append(record)
-        except Exception:
-            # Whatever failed, the open spans belong to a tick that never
-            # completed; they must not leak into the next trace.
-            if tracer is not None:
-                tracer.abort_tick()
-            raise
-        trace = tracer.end_tick(self.engine.tick) if tracer is not None else None
-        if self.metrics is not None:
-            # Published BEFORE on_tick so a callback (or a concurrent
-            # scrape it triggers) already sees this tick's counters.
-            self._publish_tick(record, trace)
-        if self.on_tick is not None:
-            self.on_tick(record)
-        return results
+        collected = []
+        self._serve((frames,), 1, collected.append)
+        return collected[0]
 
     def run(self, ticks) -> dict[object, list[StreamStepResult]]:
-        """Drive one :meth:`tick` per element of ``ticks``; results are
-        grouped per stream (the shape every replay/CLI/bench consumer
-        wants).  Frames still deferred when the schedule ends stay queued
-        -- :attr:`backlog` reports them.
+        """Drive one tick per element of ``ticks``; results are grouped
+        per stream (the shape every replay/CLI/bench consumer wants).
+        Frames still deferred when the schedule ends stay queued --
+        :attr:`backlog` reports them.
 
-        On an engine with a bounded in-flight window
+        On an engine with an in-flight window
         (:class:`~repro.serving.cluster.ShardedEngine` built with
-        ``inflight_window > 1``) the loop *pipelines*: tick t+1's frames
-        are admitted and fanned out while tick t's replies are still on
-        the wire, and each tick's bookkeeping runs when its replies land
-        -- always in submission order, so results, journals, and
-        snapshots are those of the lockstep loop.  Autoscale forces
-        lockstep (a rebalance needs a drained pipeline); ``window == 1``
-        *is* the lockstep loop, bit for bit.
+        ``inflight_window > 1``) up to that many ticks are in flight:
+        tick t+1's frames are admitted and fanned out while tick t's
+        replies are still on the wire, and each tick's bookkeeping runs
+        when its replies land -- always in submission order, so results,
+        journals, and snapshots are those of :meth:`tick`.
         """
-        if (
-            self._pipeline_window() > 1
-            and hasattr(self.engine, "submit_batch")
-            and self.autoscale is None
-        ):
-            return self._run_pipelined(ticks)
         per_stream: dict[object, list[StreamStepResult]] = {}
-        for frames in ticks:
-            for result in self.tick(frames):
+
+        def group(results):
+            for result in results:
                 per_stream.setdefault(result.stream_id, []).append(result)
+
+        self._serve(ticks, self._pipeline_window(), group)
         return per_stream
 
-    # ------------------------------------------------------------------
-    # Pipelined run (bounded in-flight window)
-    # ------------------------------------------------------------------
     def _pipeline_window(self) -> int:
-        """The engine's in-flight window bound (1 = lockstep)."""
+        """The engine's in-flight window bound (1 without a window)."""
         return getattr(self.engine, "inflight_window", 1)
 
-    def _run_pipelined(self, ticks) -> dict[object, list[StreamStepResult]]:
-        """The windowed tick loop: keep up to ``window`` ticks in flight.
+    def _serve(self, ticks, window: int, sink: Callable) -> None:
+        """The tick loop: keep up to ``window`` ticks in flight.
 
         Each incoming tick is admitted and submitted as soon as a window
-        slot frees up; the oldest in-flight tick is collected (replies
-        merged, telemetry recorded, journal appended) whenever the
-        window is full -- so the engine's shards are stepping tick t+1
-        while the parent merges tick t.  Operations that need a drained
-        engine (periodic snapshots, journal checkpoints) drain the
-        window first, at exactly the tick cadence the lockstep loop
-        would have used.
+        slot frees up; the oldest in-flight tick is collected whenever
+        the window is full or the newest tick must land on a drained
+        engine (:meth:`_must_drain`), and whatever is left at the end.
+        ``sink`` receives each collected tick's results, in submission
+        order.
 
         Any failure settles the engine's window (every owed reply is
-        drained) before propagating, so the controller and engine stay
-        usable; with failover enabled a worker death additionally
-        re-submits every admitted-but-uncollected tick after recovery,
-        preserving exactly-once admission order.
+        drained) and drops the open spans, which belong to ticks that
+        never completed, before propagating -- so the controller and
+        engine stay usable.
         """
-        per_stream: dict[object, list[StreamStepResult]] = {}
-        window = self._pipeline_window()
         pending = self._pending_ticks
-        if self.failover is not None and self._recovery_snapshot is None:
-            # Same re-arm as _attempt's, hoisted to the window-empty
-            # moment (a capture mid-window would be refused).
-            self._rearm_checkpoint()
         try:
             for frames in ticks:
                 while pending and (
                     len(pending) >= window or self._must_drain()
                 ):
-                    self._collect_one(per_stream)
-                self._submit_one(frames)
+                    sink(self._collect())
+                self._submit(frames)
             while pending:
-                self._collect_one(per_stream)
+                sink(self._collect())
         except Exception:
-            # The open spans belong to ticks that never completed, and
-            # the engine may still owe replies for them; settle both so
-            # the controller (and a caller's cleanup) stay usable.
             if self.tracer is not None:
                 self.tracer.abort_tick()
             self._settle_window()
             pending.clear()
             raise
-        return per_stream
 
     def _must_drain(self) -> bool:
         """Does the *newest* submitted tick, once collected, need a
-        drained engine?  Checked before every submit, so a snapshot-due
-        or checkpoint-due tick is always the last one in the window and
-        the drained-engine operation runs at its exact lockstep tick."""
+        drained engine?  Checked before every submit, so a tick that may
+        rebalance (autoscale), write a periodic snapshot, or refresh the
+        recovery checkpoint is always the last one in the window, and
+        that operation runs at its exact tick."""
         pending = self._pending_ticks
         if not pending:
             return False
+        if self.autoscale is not None:
+            return True
         newest = self.engine.tick + len(pending)
         if self.snapshot_every and newest % self.snapshot_every == 0:
             return True
@@ -898,17 +767,19 @@ class ServingController:
             >= self.failover.journal_depth
         )
 
-    def _submit_one(self, frames: Sequence[StreamFrame]) -> None:
-        """The submit half of a pipelined tick: intake -> admission ->
-        ``engine.submit_batch`` -> pending record.  Mirrors the front of
-        :meth:`tick`, with one deliberate difference: the admission
-        outcome commits *here*, once the engine accepted the submit --
-        not at collect.  The next tick's intake runs before this tick's
+    def _submit(self, frames: Sequence[StreamFrame]) -> None:
+        """Intake -> admission -> submit: put one tick in the window.
+
+        The admission outcome commits once the engine accepted the
+        submit: the next tick's intake may run before this tick's
         replies land, and it must see this tick's deferrals at the queue
         heads, or a stream's deferred frame and its next frame would be
-        admitted out of order.  Rollback still covers a rejected submit,
-        and failover replays the committed batches verbatim, so the
-        admission schedule is decided exactly once either way."""
+        admitted out of order.  A rejected submit rolls the admission
+        back, and failover replays the committed batches verbatim, so
+        the admission schedule is decided exactly once either way.  An
+        engine without ``submit_batch`` (the single-process engine)
+        steps the batch here; its results wait in the pending record.
+        """
         tracer = self.tracer
         span = tracer.span if tracer is not None else null_span
         with span("intake"):
@@ -916,21 +787,29 @@ class ServingController:
             submitted = len(frames)
             if self.admission is not None:
                 self._validate_intake(frames)
+        deferral = None
+        batch = frames
         if self.admission is not None:
             with span("admission"):
-                admitted_q, deferral = self._admit(frames)
-            batch = [queued.frame for queued in admitted_q]
-        else:
-            deferral = None
-            batch = frames
+                admitted, deferral = self._admit(frames)
+            batch = [queued.frame for queued in admitted]
         record = _PendingTick(batch, submitted, deferral, self.clock())
+        if tracer is not None:
+            record.step_start = tracer.clock()
+        submit = getattr(self.engine, "submit_batch", None)
         try:
-            self._pipelined_attempt(
-                lambda: self.engine.submit_batch(batch), record.recovery
-            )
+            if submit is None:
+                record.results = self._attempt(
+                    lambda: self.engine.step_batch(batch), record.recovery
+                )
+            else:
+                self._attempt(lambda: submit(batch), record.recovery)
         except Exception:
             if deferral is not None:
                 deferral.rollback()
+                # The engine rejected the tick atomically; the sequence
+                # counter must match a run where it never happened, or a
+                # later snapshot would diverge from the uninterrupted run.
                 self._seq = deferral.seq_before
             raise
         if deferral is not None:
@@ -945,35 +824,49 @@ class ServingController:
         if depth > self.stats.max_inflight_depth:
             self.stats.max_inflight_depth = depth
 
-    def _collect_one(self, per_stream: dict) -> None:
-        """The collect half: finish the oldest in-flight tick.
+    def _collect(self) -> list[StreamStepResult]:
+        """Finish the oldest in-flight tick: collect, then bookkeeping.
 
-        Merged results join ``per_stream`` and every piece of per-tick
-        bookkeeping the lockstep :meth:`tick` does -- journal, EWMAs,
-        periodic snapshot, SLO verdicts, telemetry, metrics, ``on_tick``
-        -- runs here, in submission order.  (Admission already committed
-        at submit; see :meth:`_submit_one`.)
+        Journal, EWMAs, autoscale, periodic snapshot, SLO verdicts,
+        telemetry, metrics and ``on_tick`` all run here, once per tick,
+        in submission order.  The tick's ``step`` span runs from its
+        submit to here, so with one tick in flight it encloses the
+        engine's ``fanout``, ``shard_step`` and ``merge`` spans.
         """
         tracer = self.tracer
         span = tracer.span if tracer is not None else null_span
-        record = self._pending_ticks[0]
+        pending = self._pending_ticks
+        record = pending[0]
         recovery = record.recovery
         deferral = record.deferral
-        with span("step", frames=len(record.batch)):
-            results = self._pipelined_attempt(
-                self.engine.collect_batch, recovery
+        results = record.results
+        if results is None:
+            results = self._attempt(
+                self.engine.collect_batch, recovery, kind="collect"
             )
-        self._pending_ticks.popleft()
+        pending.popleft()
+        if tracer is not None and record.step_start is not None:
+            tracer.record(
+                "step",
+                tracer.clock() - record.step_start,
+                start=record.step_start,
+                frames=len(record.batch),
+            )
         latency = self.clock() - record.before
         if self.failover is not None:
+            # Journal the admitted batch, then checkpoint once the
+            # journal is full: the recovery snapshot advances to the
+            # current state and the replay window restarts empty.
             self._journal.append(record.batch)
             if (
                 len(self._journal) >= self.failover.journal_depth
-                and not self._pending_ticks
+                and not pending
             ):
                 self._refresh_recovery_point(recovery)
 
-        alpha = 0.3
+        alpha = (
+            self.autoscale.ewma_alpha if self.autoscale is not None else 0.3
+        )
         if self._latency_ewma is None:
             self._latency_ewma = latency
         else:
@@ -987,10 +880,11 @@ class ServingController:
                     per_frame - self._frame_seconds_ewma
                 )
 
+        rebalanced_to = self._autoscale_step(recovery)
         if (
             self.snapshot_every
             and self.engine.tick % self.snapshot_every == 0
-            and not self._pending_ticks
+            and not pending
         ):
             with span("snapshot"):
                 self._write_snapshot(recovery)
@@ -1023,54 +917,25 @@ class ServingController:
             latency_seconds=latency,
             latency_ewma=self._latency_ewma,
             n_shards=self.n_shards,
-            rebalanced_to=None,
+            rebalanced_to=rebalanced_to,
             failovers=recovery.failovers,
             replay_depth=recovery.replayed,
             recovery_seconds=recovery.seconds,
             slo_breaches=slo_breaches,
             slo_burn_rate=slo_burn,
-            inflight_depth=len(self._pending_ticks),
+            inflight_depth=len(pending),
         )
         self.telemetry.append(telemetry)
         trace = (
             tracer.end_tick(self.engine.tick) if tracer is not None else None
         )
         if self.metrics is not None:
+            # Published BEFORE on_tick so a callback (or a concurrent
+            # scrape it triggers) already sees this tick's counters.
             self._publish_tick(telemetry, trace)
         if self.on_tick is not None:
             self.on_tick(telemetry)
-        for result in results:
-            per_stream.setdefault(result.stream_id, []).append(result)
-
-    def _pipelined_attempt(self, operation: Callable, recovery: _RecoveryLog):
-        """Failover wrapper for windowed submit/collect operations.
-
-        Like :meth:`_attempt`, but a worker death additionally settles
-        the engine's window (every in-flight tick's owed replies are
-        drained -- recovery's restore/replay needs a drained engine) and,
-        after the journal replay, *re-submits* every
-        admitted-but-uncollected tick in order, so the retried operation
-        resumes against an identical pipeline.  Deterministic engines
-        make the re-fanned-out ticks bitwise what the lost ones were.
-        """
-        while True:
-            try:
-                return operation()
-            except ClusterWorkerError as error:
-                self._settle_window()
-                if self.failover is None:
-                    raise
-                while True:
-                    if self.stats.failovers >= self.failover.max_failovers:
-                        raise error
-                    try:
-                        self._recover(error, recovery)
-                        for record in self._pending_ticks:
-                            self.engine.submit_batch(record.batch)
-                        break
-                    except ClusterWorkerError as again:
-                        error = again
-                        self._settle_window()
+        return results
 
     def _settle_window(self) -> None:
         """Drain every reply the engine's in-flight window still owes.
@@ -1102,29 +967,29 @@ class ServingController:
         extra engine traffic, preserving the disabled-policy invariant.
         With one, every :class:`ClusterWorkerError` -- from the operation
         or from a recovery attempt itself -- triggers one budgeted
-        recovery before the operation is retried.  Exhausting
-        ``max_failovers`` re-raises the latest error, with the failing
-        shard attached, exactly as a failover-free controller would have.
+        recovery (:meth:`_recover`) before the operation is retried.
+        Exhausting ``max_failovers`` re-raises the latest error, with
+        the failing shard attached, exactly as a failover-free
+        controller would have.
 
-        ``kind`` tells recovery what the interrupted operation was, so
-        the shard-local path knows what is safe: ``"step"`` (a lockstep
-        ``step_batch`` whose survivors' replies may be salvaged --
-        recovery then *completes* the tick and returns its results
-        instead of retrying), ``"snapshot"`` (read-only fan-out: a
-        shard-local revive + replay suffices before the retry), or
-        ``"generic"`` (anything else: always whole-cluster recovery).
+        ``kind`` tells recovery what the interrupted operation was:
+        ``"collect"`` (the engine kept the failed tick's ok replies),
+        ``"snapshot"`` (a read-only fan-out), or ``"generic"`` (anything
+        else, a submit included).
         """
         if self.failover is None:
             return operation()
         while True:
-            if self._recovery_snapshot is None:
+            if self._recovery_snapshot is None and not self._pending_ticks:
                 # Re-arm the checkpoint (only needed after a bare
                 # ``load_state_dict``; the constructor and ``restore``
-                # both leave one in place).  Deliberately OUTSIDE the
-                # recovery path: with no checkpoint there is nothing to
-                # restore a dead shard's streams from, so a worker death
-                # during this capture must fail fast rather than
-                # blank-revive the shard and silently diverge.
+                # both leave one in place), at a moment the window is
+                # empty -- a capture mid-window would be refused.
+                # Deliberately OUTSIDE the recovery path: with no
+                # checkpoint there is nothing to restore a dead shard's
+                # streams from, so a worker death during this capture
+                # must fail fast rather than blank-revive the shard and
+                # silently diverge.
                 self._rearm_checkpoint()
             try:
                 return operation()
@@ -1139,13 +1004,7 @@ class ServingController:
                     if self.stats.failovers >= self.failover.max_failovers:
                         raise error
                     try:
-                        salvaged = self._recover(error, recovery, kind)
-                        if salvaged is not None:
-                            # Shard-local recovery already completed the
-                            # interrupted step from the survivors' kept
-                            # replies; retrying the operation would
-                            # double-step the tick.
-                            return salvaged[0]
+                        self._recover(error, recovery, kind)
                         break
                     except ClusterWorkerError as again:
                         error = again
@@ -1153,74 +1012,42 @@ class ServingController:
     def _shard_local_possible(self, dead: set, kind: str) -> bool:
         """May this recovery touch only the dead shard(s)?
 
-        Requires: the policy allows it, the operation kind is one whose
-        survivors are known un-advanced (a read-only snapshot fan-out)
-        or salvageable (a lockstep step whose ok replies were kept), no
-        pipelined window is open (window ticks interleave shards beyond
-        per-shard reconstruction), per-shard checkpoints exist for every
-        dead shard, and no dead shard is a mid-spawn index past the
-        worker list.
+        Requires: the policy allows it; the survivors are provably where
+        the checkpoint plus the journal put them -- after a read-only
+        snapshot fan-out, or after a failed collect whose survivors' ok
+        replies the engine kept -- with nothing else in flight (later
+        ticks interleave every shard beyond per-shard reconstruction);
+        per-shard checkpoints exist for every dead shard; and no dead
+        shard is a mid-spawn index past the worker list.
         """
         if not self.failover.shard_local or not dead:
             return False
-        if kind not in ("step", "snapshot"):
-            return False
-        if self._pending_ticks:
+        if kind not in ("collect", "snapshot") or len(self._pending_ticks) > 1:
             return False
         checkpoints = self._shard_checkpoints
         if checkpoints is None:
             return False
         n_shards = self.engine.n_shards
-        if any(
-            shard >= n_shards or shard not in checkpoints for shard in dead
-        ):
-            return False
-        if kind == "step" and not getattr(
-            self.engine, "salvage_pending", False
-        ):
-            return False
-        return True
-
-    def _recover_shard_local(
-        self, dead: list, kind: str, recovery: _RecoveryLog
-    ):
-        """Revive + replay ONLY the dead shard(s); salvage a failed step.
-
-        Each dead shard is restored from its own checkpoint part (with
-        its worker-local lifecycle counters, so cluster statistics stay
-        exact) and re-stepped through its slice of the journal alone --
-        O(dead shard); every surviving shard keeps serving state
-        untouched.  For ``kind == "step"`` the interrupted tick is then
-        completed from the survivors' kept replies plus a resend to the
-        revived shard(s), and its results are returned in a 1-tuple;
-        snapshot kinds return None (the caller retries the fan-out).
-        """
-        for shard in dead:
-            part = self._shard_checkpoints[shard]
-            self.engine.revive_shard(
-                shard, snapshot=part, statistics=part.statistics
-            )
-            self.stats.shards_respawned += 1
-            recovery.respawned += 1
-            replayed = self.engine.replay_shard(shard, self._journal)
-            self.stats.replayed_ticks += replayed
-            recovery.replayed += replayed
-        if kind == "step":
-            return (self.engine.salvage_step(),)
-        return None
+        return all(shard < n_shards and shard in checkpoints for shard in dead)
 
     def _recover(
         self,
         error: ClusterWorkerError,
         recovery: _RecoveryLog,
         kind: str = "generic",
-    ):
+    ) -> None:
         """One recovery pass: respawn dead shards, restore, replay.
 
-        Shard-local when possible (see :meth:`_shard_local_possible`),
-        whole-cluster otherwise.  Returns a 1-tuple of step results when
-        shard-local recovery salvaged the interrupted tick (the caller
-        must NOT retry the operation), else None.
+        Shard-local when possible (see :meth:`_shard_local_possible`):
+        each dead shard is revived from its own checkpoint part (with
+        its worker-local lifecycle counters, so cluster statistics stay
+        exact) and replays its slice of the journal alone, while every
+        surviving shard keeps its serving state untouched; the retried
+        operation then completes -- a collect resends the tick to just
+        the revived shard(s).  Otherwise the window is aborted, the
+        whole cluster is restored and replayed, and every
+        admitted-but-uncollected tick is re-submitted in order, so the
+        retried operation resumes against an identical pipeline.
 
         The caller enforces the ``max_failovers`` budget.  Recovery wall
         time is measured with ``time.perf_counter`` directly (not the
@@ -1229,6 +1056,7 @@ class ServingController:
         recovery, by design -- the stall is real and telemetry reports it.
         """
         policy = self.failover
+        engine = self.engine
         self.stats.failovers += 1
         recovery.failovers += 1
         if recovery.failovers > 1 and policy.respawn_backoff > 0.0:
@@ -1238,39 +1066,48 @@ class ServingController:
             time.sleep(policy.respawn_backoff * (recovery.failovers - 1))
         started = time.perf_counter()
         try:
-            dead = set(self.engine.dead_shards)
+            dead = set(engine.dead_shards)
             if error.shard is not None:
                 dead.add(error.shard)
             if self._shard_local_possible(dead, kind):
-                salvaged = self._recover_shard_local(
-                    sorted(dead), kind, recovery
-                )
+                for shard in sorted(dead):
+                    part = self._shard_checkpoints[shard]
+                    engine.revive_shard(
+                        shard, snapshot=part, statistics=part.statistics
+                    )
+                    self.stats.shards_respawned += 1
+                    recovery.respawned += 1
+                    replayed = engine.replay_shard(shard, self._journal)
+                    self.stats.replayed_ticks += replayed
+                    recovery.replayed += replayed
                 self.stats.shard_recoveries += 1
-                return salvaged
+                return
+            self._settle_window()
             for shard in sorted(dead):
                 # A shard index past the worker list names a worker that
                 # never finished spawning (mid-grow failure); there is
                 # no endpoint to revive -- retrying the rebalance will
                 # spawn it.
-                if shard < self.engine.n_shards:
-                    self.engine.revive_shard(shard)
+                if shard < engine.n_shards:
+                    engine.revive_shard(shard)
                     self.stats.shards_respawned += 1
                     recovery.respawned += 1
-            # Fallback: roll the WHOLE cluster back to the checkpoint
-            # and replay the journaled batches: survivors that already
-            # stepped the interrupted tick rewind with everyone else, so
-            # the retry cannot double-step them, and the cluster-wide
-            # statistics stay exact (the dead worker's counters died
-            # with it; without a per-shard checkpoint they cannot be
+            # Roll the WHOLE cluster back to the checkpoint and replay
+            # the journaled batches: survivors that already stepped the
+            # interrupted tick rewind with everyone else, so the retry
+            # cannot double-step them, and the cluster-wide statistics
+            # stay exact (the dead worker's counters died with it;
+            # without a per-shard checkpoint they cannot be
             # reconstructed shard-locally).  The checkpoint always
             # exists here -- the constructor captures one eagerly and
             # _attempt re-arms it outside this path.
-            self.engine.restore(self._recovery_snapshot)
+            engine.restore(self._recovery_snapshot)
             for batch in self._journal:
-                self.engine.step_batch(batch)
+                engine.step_batch(batch)
             self.stats.replayed_ticks += len(self._journal)
             recovery.replayed += len(self._journal)
-            return None
+            for record in self._pending_ticks:
+                engine.submit_batch(record.batch)
         finally:
             seconds = time.perf_counter() - started
             self.stats.recovery_seconds += seconds
@@ -1365,8 +1202,8 @@ class ServingController:
         in-flight tick has already outlived the latency budget, the
         engine is not keeping up -- the budget is halved (floor 1) so
         intake throttles *now*, before overflow starts dropping frames
-        from full deferral queues.  Lockstep runs never trip this (the
-        window mirror is empty there).
+        from full deferral queues.  Window 1 never trips this (nothing
+        is in flight at intake).
         """
         policy = self.admission
         budget = policy.max_frames_per_tick

@@ -28,18 +28,18 @@ least as dependable as the estimates it produces.
    -- while every surviving shard keeps serving state untouched.  The
    whole-cluster restore from the merged in-memory snapshot (via the
    same ``to_wire``/``from_wire`` path snapshots always travel) remains
-   the fallback for everything else: pipelined windows, send-phase
+   the fallback for everything else: other ticks in flight, send-phase
    losses, missing checkpoints.
 3. **Replay** -- again shard-locally when possible: the bounded *tick
    journal* (the admitted frame batches of every tick since the
    checkpoint) is filtered to the dead shard's frames and resent to it
    alone (``replay_shard``), O(dead shard) instead of O(cluster); the
-   fallback replays every batch through ``step_batch``.
-4. **Retry** the interrupted operation -- or, for a lockstep step whose
-   surviving shards already answered, *salvage* it: the kept ok replies
-   merge with a resend to just the failed shard
-   (:meth:`~repro.serving.cluster.ShardedEngine.salvage_step`), so the
-   survivors never re-step the tick.
+   fallback replays every batch through ``step_batch`` and re-submits
+   the ticks that were in flight.
+4. **Retry** the interrupted operation.  A retried
+   :meth:`~repro.serving.cluster.ShardedEngine.collect_batch` resends
+   the tick to just the shards whose ok reply the failed collect did not
+   keep, so the survivors never re-step it.
 
 Because every engine in this codebase is deterministic, restore + replay
 + retry reproduces the uninterrupted run bit for bit: the caller sees
@@ -107,7 +107,7 @@ class FailoverPolicy:
         When True (the default) and exactly the failed shard(s) can be
         pinpointed with per-shard checkpoints available, recovery
         restores and replays *only* the dead shard(s) -- O(dead shard)
-        -- and salvages the interrupted step from the survivors' kept
+        -- and completes the interrupted tick from the survivors' kept
         replies.  Whole-cluster restore + replay remains the fallback
         (and the only path when False), bitwise-identical either way.
     """

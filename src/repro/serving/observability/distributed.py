@@ -196,7 +196,7 @@ def assemble_tick_timeline(trace, shard_records=None, clock_offsets=None):
     ``trace`` is a :class:`~repro.serving.observability.tracing.TickTrace`
     whose spans carry absolute start timestamps; ``shard_records`` maps
     shard -> ``{"send", "sent", "done", "telemetry"}`` as captured by
-    ``ShardedEngine.step_batch`` (controller clock); ``clock_offsets``
+    ``ShardedEngine.collect_batch`` (controller clock); ``clock_offsets``
     maps shard -> offset (or ``{"offset": ...}``) from the ``hello``
     handshake.  Worker spans are rebased and clamped inside the shard's
     ``shard_step`` envelope so the merged timeline always nests.

@@ -48,7 +48,7 @@ from dataclasses import dataclass, field
 from repro.exceptions import ValidationError
 from repro.serving.protocol import (
     PROTOCOL_VERSION,
-    decode_request,
+    decode_request_full,
     encode_reply,
     encode_request,
 )
@@ -537,7 +537,7 @@ def replay_flight(directory, engine_factory) -> FlightReplayReport:
             report.skipped += 1  # dead-peer verdict; nothing to recompute
             continue
 
-        command, payload = decode_request(request.data)
+        command, payload, _, _ = decode_request_full(request.data)
         if command != record.command:
             raise ValidationError(
                 f"flight log record {record.seq}: reply command "

@@ -19,9 +19,10 @@ window), and a :class:`~repro.serving.observability.metrics.Histogram`
 of phase durations is published by the controller from these spans, so
 metrics and traces can never disagree.
 
-Spans are *flat* within a tick: the ``step`` span covers the whole
-``step_batch`` call and the engine's ``fanout``/``shard_step``/``merge``
-spans appear alongside it (their sum is a lower bound of ``step``).
+Spans are *flat* within a tick: the ``step`` span covers the tick from
+its submit to its collection and the engine's
+``fanout``/``shard_step``/``merge`` spans appear alongside it (their sum
+is a lower bound of ``step`` when one tick is in flight).
 Recovery work replayed during a failover lands in the interrupted tick's
 trace -- the stall is real and the trace shows it.
 """
@@ -37,23 +38,18 @@ from repro.exceptions import ValidationError
 __all__ = ["PHASES", "SpanRecord", "TickTrace", "TickTracer", "null_span"]
 
 #: The tick phases the serving stack instruments, in pipeline order.
-#: ``step`` is the controller-level envelope around the engine call;
-#: ``fanout``/``shard_step``/``merge`` are the cluster's sub-phases of
-#: it; ``recovery`` appears only on ticks that performed a failover.
-#: Pipelined (windowed) serving replaces ``shard_step``/``merge`` with
-#: ``await_window`` (blocking on the oldest in-flight tick's replies --
-#: the true pipeline stall, which shrinks as submits overlap it) and
-#: ``merge_ready`` (merging a tick whose replies have all landed); a
-#: Perfetto export shows tick t+1's ``fanout`` starting before tick t's
-#: ``await_window`` closes, which is the overlap made visible.
+#: ``step`` is the controller-level envelope of one tick, from its
+#: submit until it is collected; ``fanout``/``shard_step``/``merge`` are
+#: the cluster's sub-phases of it; ``recovery`` appears only on ticks
+#: that performed a failover.  With more than one tick in flight, tick
+#: t+1's ``fanout`` lands in tick t's trace, starting before tick t's
+#: ``shard_step`` waits -- the overlap made visible.
 PHASES = (
     "intake",
     "admission",
     "fanout",
     "shard_step",
-    "await_window",
     "merge",
-    "merge_ready",
     "step",
     "snapshot",
     "recovery",

@@ -30,16 +30,17 @@ plus typed arrays, versioned (:data:`PROTOCOL_VERSION`) so incompatible
 peers fail loudly at the first frame instead of corrupting registry state.
 
 Layering: :func:`encode_frame` / :func:`decode_frame` know only the frame
-format; :func:`encode_request` / :func:`decode_request` and
-:func:`encode_reply` / :func:`decode_reply` map each worker command's
-payload onto (meta, arrays) and back.  Transports move opaque ``bytes``.
+format; :func:`encode_request` / :func:`decode_request_full` and
+:func:`encode_reply` / :func:`decode_reply_full` map each worker
+command's payload onto (meta, arrays) and back.  Transports move opaque
+``bytes``.
 
 Zero-copy path: :func:`encode_frame_parts` stops one step earlier than
 :func:`encode_frame` -- it returns a :class:`FrameSegments` holding the
 packed prefix + header plus a borrowed ``memoryview`` per C-contiguous
 array segment, without materializing the joined frame.  Channels with a
 vectored ``send_frame`` write those segments straight to the wire (TCP
-``sendmsg``, shm ring slots), and :class:`BufferPool` assembles them into
+``sendmsg``), and :class:`BufferPool` assembles them into
 reusable size-classed buffers for channels that need one contiguous
 send -- either way each array's payload is copied exactly once.  The
 joined bytes are identical to :func:`encode_frame` output byte-for-byte.
@@ -71,14 +72,10 @@ __all__ = [
     "decode_frame",
     "encode_request",
     "encode_request_parts",
-    "decode_request",
     "decode_request_full",
-    "decode_request_traced",
     "encode_reply",
     "encode_reply_parts",
-    "decode_reply",
     "decode_reply_full",
-    "decode_reply_telemetry",
     "require_wire_id",
     "sanitize_wire_scope",
 ]
@@ -191,13 +188,14 @@ class FrameSegments:
             return self.segments[0]
         return b"".join(self.segments)
 
-    def copy_into(self, buffer, offset: int = 0) -> int:
-        """Scatter-copy every segment into ``buffer`` at ``offset``.
+    def copy_into(self, buffer) -> int:
+        """Scatter-copy every segment into the front of ``buffer``.
 
-        ``buffer`` is any writable bytes-like (pooled ``bytearray``, shm
-        ring slot ``memoryview``).  Returns the number of bytes written;
+        ``buffer`` is any writable bytes-like (a pooled ``bytearray``,
+        a ``memoryview``).  Returns the number of bytes written;
         each segment is copied exactly once.
         """
+        offset = 0
         for segment in self.segments:
             n = len(segment)
             if n:
@@ -590,18 +588,6 @@ def decode_request_full(data) -> tuple:
     return command, decoder(frame.meta, frame.arrays), trace, tick
 
 
-def decode_request_traced(data) -> tuple:
-    """Decode a request frame into ``(command, payload, trace)``."""
-    command, payload, trace, _ = decode_request_full(data)
-    return command, payload, trace
-
-
-def decode_request(data) -> tuple:
-    """Decode a request frame back into ``(command, payload)``."""
-    command, payload, _, _ = decode_request_full(data)
-    return command, payload
-
-
 def encode_reply_parts(
     command: str, reply: tuple, *, telemetry=None, tick=None
 ) -> FrameSegments:
@@ -656,19 +642,3 @@ def decode_reply_full(data, command: str) -> tuple:
     tick = frame.meta.pop(TICK_META_KEY, None)
     _, decoder = _REPLY_CODECS[command]
     return ("ok", decoder(frame.meta, frame.arrays)), telemetry, tick
-
-
-def decode_reply_telemetry(data, command: str) -> tuple:
-    """Decode a reply frame into ``(reply_tuple, telemetry)``."""
-    reply, telemetry, _ = decode_reply_full(data, command)
-    return reply, telemetry
-
-
-def decode_reply(data, command: str) -> tuple:
-    """Decode a reply frame for the in-flight ``command``.
-
-    Returns the protocol tuple the cluster front end consumes:
-    ``("ok", payload)`` or ``("error", name, message)``.
-    """
-    reply, _ = decode_reply_telemetry(data, command)
-    return reply

@@ -51,7 +51,6 @@ from repro.exceptions import ClusterError, ClusterWorkerError, ValidationError
 from repro.serving.protocol import (
     BufferPool,
     decode_reply_full,
-    decode_request,
     decode_request_full,
     encode_reply,
     encode_reply_parts,
@@ -558,14 +557,14 @@ def serve_connection(
     is answered with this worker's monotonic clock so the cluster can
     rebase the piggybacked timestamps onto its own timeline.
 
-    A request tagged with the reserved ``_tick`` meta key gets the tag
-    echoed on its reply, so a windowed parent can pair replies with the
-    requests it has in flight.  Untagged requests get untagged replies,
-    byte-identical to a pre-windowing worker's.
+    A request tagged with the reserved ``_tick`` meta key (every step
+    request is) gets the tag echoed on its reply, so the parent pairs
+    each reply with the request it answers, however many are in flight.
+    Untagged requests get untagged replies.
     """
     try:
         channel.set_timeout(handshake_timeout)
-        command, payload = decode_request(channel.recv_bytes())
+        command, payload, _, _ = decode_request_full(channel.recv_bytes())
         channel.set_timeout(None)
     except _CHANNEL_ERRORS:
         return "stray"  # peer went away (or stayed silent) pre-handshake
@@ -1143,9 +1142,9 @@ def resolve_transport(transport=None, start_method: str | None = None) -> Transp
     """Normalize a transport argument into a :class:`Transport`.
 
     Accepts a :class:`Transport` instance, ``None``/``"pipe"`` (the
-    single-host default), ``"inproc"``, ``"shm"`` (shared-memory rings),
-    or ``"tcp:HOST:PORT[,HOST:PORT...]"``.  ``start_method`` applies to
-    the process-spawning transports (pipe, shm) only.
+    single-host default), ``"inproc"``, or
+    ``"tcp:HOST:PORT[,HOST:PORT...]"``.  ``start_method`` applies to the
+    pipe transport only.
     """
     if isinstance(transport, Transport):
         return transport
@@ -1153,15 +1152,11 @@ def resolve_transport(transport=None, start_method: str | None = None) -> Transp
         return PipeTransport(start_method=start_method)
     if transport == "inproc":
         return InprocTransport()
-    if transport == "shm":
-        from repro.serving.shm import ShmTransport
-
-        return ShmTransport(start_method=start_method)
     if isinstance(transport, str) and transport.startswith("tcp:"):
         return TcpTransport(transport[len("tcp:"):].split(","))
     raise ValidationError(
         f"unknown transport {transport!r}; expected 'inproc', 'pipe', "
-        "'shm', 'tcp:HOST:PORT,...', or a Transport instance"
+        "'tcp:HOST:PORT,...', or a Transport instance"
     )
 
 

@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats as _sps
 
 from repro.exceptions import ValidationError
 from repro.tracking.kalman import KalmanFilter, constant_velocity_filter
@@ -70,7 +69,12 @@ class SignTracker:
             raise ValidationError(
                 f"gate_probability must be in (0, 1), got {gate_probability}"
             )
-        self.gate_threshold = float(_sps.chi2.ppf(gate_probability, df=2))
+        # The chi-square(2) quantile, 2 * P^-1(1, p): the kernel behind
+        # ``scipy.stats.chi2.ppf(p, 2)`` and bitwise equal to it, without
+        # the ~1 s import of ``scipy.stats``.
+        from scipy.special import gammaincinv
+
+        self.gate_threshold = float(2.0 * gammaincinv(1.0, gate_probability))
         self.dt = dt
         self.process_noise = process_noise
         self.measurement_noise = measurement_noise

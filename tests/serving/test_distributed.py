@@ -57,10 +57,8 @@ from repro.serving.observability.tracing import SpanRecord, TickTrace
 from repro.serving.protocol import (
     TELEMETRY_META_KEY,
     TRACE_META_KEY,
-    decode_reply,
-    decode_reply_telemetry,
-    decode_request,
-    decode_request_traced,
+    decode_reply_full,
+    decode_request_full,
     encode_reply,
     encode_request,
 )
@@ -291,17 +289,15 @@ class TestTraceProtocol:
     def test_trace_meta_round_trips_and_is_stripped(self):
         trace = {"tick": 3, "shard": 1, "parent": "shard_step", "sampled": True}
         data = encode_request("ids", None, trace=trace)
-        command, payload, decoded = decode_request_traced(data)
-        assert (command, payload) == ("ids", None)
+        command, payload, decoded, tick = decode_request_full(data)
+        assert (command, payload, tick) == ("ids", None, None)
         assert decoded == trace
-        # The plain decoder hides the side channel entirely.
-        assert decode_request(data) == ("ids", None)
 
     def test_untraced_frames_are_byte_identical(self):
         assert encode_request("ids", None) == encode_request(
             "ids", None, trace=None
         )
-        command, payload, trace = decode_request_traced(
+        command, payload, trace, _ = decode_request_full(
             encode_request("ids", None)
         )
         assert trace is None
@@ -309,14 +305,14 @@ class TestTraceProtocol:
     def test_telemetry_meta_round_trips_and_is_stripped(self):
         telemetry = {"tick": 3, "recv": [1.0, 2.0]}
         data = encode_reply("ids", ("ok", ["a"]), telemetry=telemetry)
-        reply, decoded = decode_reply_telemetry(data, "ids")
+        reply, decoded, tick = decode_reply_full(data, "ids")
         assert reply == ("ok", ["a"])
         assert decoded == telemetry
-        assert decode_reply(data, "ids") == ("ok", ["a"])
+        assert tick is None
 
     def test_error_replies_never_carry_telemetry(self):
         data = encode_reply("ids", ("error", "ClusterError", "boom"))
-        reply, telemetry = decode_reply_telemetry(data, "ids")
+        reply, telemetry, _ = decode_reply_full(data, "ids")
         assert reply == ("error", "ClusterError", "boom")
         assert telemetry is None
 

@@ -650,7 +650,7 @@ class TestControllerDurability:
 # O(dead-shard) recovery
 # ----------------------------------------------------------------------
 class _ChaosCluster:
-    """A ShardedEngine on a chaos-wrapped transport (pipe/shm/tcp)."""
+    """A ShardedEngine on a chaos-wrapped transport (pipe/tcp)."""
 
     def __init__(self, transport_name, factory, n_shards, faults, **kwargs):
         self.processes = []
@@ -691,7 +691,7 @@ class TestShardLocalRecovery:
             )
         return ticks
 
-    @pytest.mark.parametrize("transport", ["pipe", "shm", TCP])
+    @pytest.mark.parametrize("transport", ["pipe", TCP])
     def test_step_kill_touches_only_the_dead_shard(
         self, synthetic_stack, series_maker, transport
     ):
@@ -725,9 +725,40 @@ class TestShardLocalRecovery:
         assert counts[(survivor, "step")] == length
         assert (survivor, "restore") not in counts
         assert counts[(victim, "restore")] == 1
-        assert counts[(victim, "step")] > length  # its replays + salvage
+        assert counts[(victim, "step")] > length  # its replays + the resend
 
         # And the run is still indistinguishable from an undisturbed one.
+        assert got == expected
+        assert stats == expected_stats
+
+    def test_death_during_the_resend_keeps_the_tick(
+        self, synthetic_stack, series_maker
+    ):
+        # Shards 1 and 2 die on tick 5's replies; after both are revived
+        # and replayed, the retried collect resends tick 5 to them, and
+        # shard 2 dies again on that resend, after shard 1's went out.
+        # The tick must stay in the window with shard 1's new reply
+        # kept, so a second shard-local recovery resends to shard 2
+        # alone and the run still completes exactly.
+        factory = make_factory(synthetic_stack, **monitored_kwargs())
+        ticks = self.workload(series_maker)
+        expected, expected_stats = single_baseline(factory, ticks)
+        faults = [
+            ChaosFault(1, "step", index=4, mode="kill", phase="recv"),
+            ChaosFault(2, "step", index=4, mode="kill", phase="recv"),
+            # Index 9 on shard 2: ticks 0-4, the 4 replayed ticks, then
+            # the resend of tick 5.
+            ChaosFault(2, "step", index=9, mode="kill"),
+        ]
+        with _ChaosCluster("inproc", factory, 3, faults) as harness:
+            controller = ServingController(harness.cluster, failover=policy())
+            got = controller.run(ticks)
+            stats = harness.cluster.statistics()
+            counts = harness.chaos._counts
+            assert not harness.chaos.pending_faults
+            assert controller.stats.failovers == 2
+            assert controller.stats.shard_recoveries == 2
+        assert counts[(0, "step")] == len(ticks)  # the survivor never re-stepped
         assert got == expected
         assert stats == expected_stats
 

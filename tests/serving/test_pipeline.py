@@ -5,13 +5,12 @@ The tentpole property: a :class:`ShardedEngine` built with
 t+1's shard payloads are on the wire while tick t's replies stream back
 -- and the merged per-stream results are **bitwise-identical, in
 admitted order**, to the lockstep loop on every transport, at every
-shard count, chaos faults included.  ``inflight_window == 1`` *is* the
-lockstep path (no tick tags on the wire, byte-for-byte the pre-windowing
-protocol).
+shard count, chaos faults included.  ``inflight_window == 1`` is the
+same submit/collect path with one tick in flight.
 
 Proven here:
 
-* windowed == lockstep across inproc / pipe / shm / TCP at 1, 2, and 4
+* windowed == lockstep across inproc / pipe / TCP at 1, 2, and 4
   shards, results and lifecycle statistics alike;
 * the wire-level tick tag (reserved ``_tick`` meta key) round-trips,
   error replies never echo it, and untagged frames encode byte-identically
@@ -30,9 +29,8 @@ Proven here:
 * observability: in-flight depth in ``fanout_stats()``, controller
   stats, telemetry, and the ``repro_cluster_inflight_depth`` /
   ``repro_cluster_backpressure_throttles_total`` metric families; the
-  tracer's ``await_window`` / ``merge_ready`` spans show tick t+1's
-  fan-out starting before tick t's replies were awaited -- the overlap,
-  visible in a trace.
+  tracer shows tick t+1's ``fanout`` span starting before tick t's
+  ``shard_step`` waits -- the overlap, visible in a trace.
 """
 
 import numpy as np
@@ -110,7 +108,7 @@ def _series_ticks(series_maker, seed, n_streams, length, new_series_at=None):
 class TestWindowedEquivalence:
     """Windowed == lockstep, bitwise, across transports and shard counts."""
 
-    @pytest.mark.parametrize("transport", ["inproc", "pipe", "shm", TCP])
+    @pytest.mark.parametrize("transport", ["inproc", "pipe", TCP])
     @pytest.mark.parametrize("n_shards", [1, 2, 4])
     def test_windowed_run_is_bitwise_lockstep(
         self, synthetic_stack, series_maker, transport, n_shards
@@ -158,8 +156,8 @@ class TestWindowedEquivalence:
     def test_window_one_is_the_lockstep_path(
         self, synthetic_stack, series_maker
     ):
-        # window == 1 must route through the untouched step_batch loop:
-        # no windowed bookkeeping, no depth, identical results.
+        # window == 1 is the same submit/collect path with one tick in
+        # flight at a time: identical results, depth never above 1.
         factory = make_factory(synthetic_stack, **monitored_kwargs())
         ticks = _series_ticks(series_maker, 505, 10, 6)
         expected, expected_stats = single_baseline(factory, ticks)
@@ -171,8 +169,8 @@ class TestWindowedEquivalence:
         assert got == expected
         assert stats == expected_stats
         assert inflight["window"] == 1
-        assert inflight["max_depth"] == 0  # submit_batch never ran
-        assert controller.stats.max_inflight_depth == 0
+        assert inflight["max_depth"] == 1
+        assert controller.stats.max_inflight_depth == 1
         assert all(t.inflight_depth == 0 for t in controller.telemetry)
 
     def test_snapshots_and_checkpoints_keep_lockstep_cadence(
@@ -462,8 +460,8 @@ class TestBackpressure:
     def test_lockstep_never_trips_backpressure(
         self, synthetic_stack, series_maker
     ):
-        # Window 1 keeps the pending deque empty, so the backpressure
-        # check can never fire -- the lockstep QoS path is untouched.
+        # At window 1 nothing is in flight when the next tick is
+        # admitted, so the backpressure check can never fire.
         factory = make_factory(synthetic_stack)
         ticks = _series_ticks(series_maker, 523, 6, 6)
         admission = AdmissionPolicy(
@@ -525,7 +523,7 @@ class TestWindowedObservability:
     def test_tracer_shows_window_phases_and_overlap(
         self, synthetic_stack, series_maker
     ):
-        assert "await_window" in PHASES and "merge_ready" in PHASES
+        assert "shard_step" in PHASES and "merge" in PHASES
         factory = make_factory(synthetic_stack)
         ticks = _series_ticks(series_maker, 529, 8, 6)
         tracer = TickTracer()
@@ -535,15 +533,16 @@ class TestWindowedObservability:
         traces = {trace.tick: trace for trace in tracer.traces}
         middle = traces[3]
         names = [span.name for span in middle.spans]
-        assert "await_window" in names and "merge_ready" in names
+        assert "shard_step" in names and "merge" in names
         # The overlap, on the timeline: tick 3's trace carries tick 4's
         # fan-out span (submitted while tick 3's replies were still on
         # the wire), and that fan-out STARTED before tick 3's replies
-        # were awaited.  A lockstep trace has no await_window span at
-        # all, so this is the windowed loop's signature.
+        # were awaited.  At window 1 a trace holds only its own tick's
+        # fan-out, so this is the windowed loop's signature.
         fanouts = [s for s in middle.spans if s.name == "fanout"]
-        awaits = [s for s in middle.spans if s.name == "await_window"]
-        assert fanouts and awaits
-        assert awaits[0].meta["tick"] == 3
-        assert fanouts[0].start < awaits[0].start
-        assert middle.seconds("await_window") >= 0.0
+        waits = [s for s in middle.spans if s.name == "shard_step"]
+        assert fanouts and waits
+        assert fanouts[0].meta["tick"] == 4
+        assert waits[0].meta["tick"] == 3
+        assert fanouts[0].start < waits[0].start
+        assert middle.seconds("shard_step") >= 0.0

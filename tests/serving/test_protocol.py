@@ -16,8 +16,8 @@ from repro.serving.protocol import (
     PROTOCOL_VERSION,
     BufferPool,
     decode_frame,
-    decode_reply,
-    decode_request,
+    decode_reply_full,
+    decode_request_full,
     encode_frame,
     encode_frame_parts,
     encode_reply,
@@ -309,7 +309,9 @@ class TestRequestReplyVocabulary:
             "new_series": np.array([True, False, True]),
             "scope": [{"lat": 1.25}, None, {"lat": -3.5}],
         }
-        command, decoded = decode_request(encode_request("step", payload))
+        command, decoded, _, _ = decode_request_full(
+            encode_request("step", payload)
+        )
         assert command == "step"
         assert decoded["ids"] == payload["ids"]
         assert decoded["scope"] == payload["scope"]
@@ -318,10 +320,13 @@ class TestRequestReplyVocabulary:
         assert decoded["new_series"].tolist() == [True, False, True]
 
     def test_frameless_step_roundtrip(self):
-        command, decoded = decode_request(encode_request("step", None))
+        command, decoded, _, _ = decode_request_full(
+            encode_request("step", None)
+        )
         assert command == "step"
         assert decoded is None
-        assert decode_reply(encode_reply("step", ("ok", None)), "step") == ("ok", None)
+        reply, _, _ = decode_reply_full(encode_reply("step", ("ok", None)), "step")
+        assert reply == ("ok", None)
 
     def test_step_reply_roundtrip_bitwise(self):
         encoded = {
@@ -337,7 +342,9 @@ class TestRequestReplyVocabulary:
             "v_threshold": np.array([0.35, 0.0]),
             "v_hysteresis": np.array([False, False]),
         }
-        status, decoded = decode_reply(encode_reply("step", ("ok", encoded)), "step")
+        (status, decoded), _, _ = decode_reply_full(
+            encode_reply("step", ("ok", encoded)), "step"
+        )
         assert status == "ok"
         assert set(decoded) == set(encoded)
         for key in encoded:
@@ -353,25 +360,23 @@ class TestRequestReplyVocabulary:
             ("stats", None),
             ("close", None),
         ]:
-            assert decode_request(encode_request(command, payload)) == (
+            assert decode_request_full(encode_request(command, payload))[:2] == (
                 command,
                 payload,
             )
         stats = {"created": 3, "evicted": 1, "series_started": 2,
                  "n_streams": 2, "tick": 9}
-        assert decode_reply(encode_reply("stats", ("ok", stats)), "stats") == (
-            "ok",
-            stats,
-        )
-        assert decode_reply(encode_reply("ids", ("ok", ["x", 1])), "ids") == (
-            "ok",
-            ["x", 1],
-        )
+        assert decode_reply_full(
+            encode_reply("stats", ("ok", stats)), "stats"
+        )[0] == ("ok", stats)
+        assert decode_reply_full(
+            encode_reply("ids", ("ok", ["x", 1])), "ids"
+        )[0] == ("ok", ["x", 1])
 
     def test_error_reply_is_command_independent(self):
         data = encode_reply("step", ("error", "ValidationError", "boom"))
         for command in ("step", "snapshot", "stats"):
-            assert decode_reply(data, command) == (
+            assert decode_reply_full(data, command)[0] == (
                 "error",
                 "ValidationError",
                 "boom",
@@ -380,7 +385,7 @@ class TestRequestReplyVocabulary:
     def test_mismatched_reply_kind_rejected(self):
         data = encode_reply("stats", ("ok", {"tick": 1}))
         with pytest.raises(ProtocolError, match="does not match"):
-            decode_reply(data, "step")
+            decode_reply_full(data, "step")
 
     def test_unknown_command_rejected(self):
         with pytest.raises(ProtocolError, match="unknown request"):
@@ -432,7 +437,7 @@ class TestSnapshotWireFraming:
         self, synthetic_stack, series_maker
     ):
         snapshot = self.make_snapshot(synthetic_stack, series_maker)
-        status, rebuilt = decode_reply(
+        (status, rebuilt), _, _ = decode_reply_full(
             encode_reply("snapshot", ("ok", snapshot)), "snapshot"
         )
         assert status == "ok"

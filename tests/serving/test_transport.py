@@ -1,8 +1,7 @@
 """Tests for the pluggable cluster transports.
 
-The tentpole property: the four transports (in-proc loopback, forked
-pipe workers, shared-memory rings, TCP to remote workers) are
-behaviorally interchangeable --
+The tentpole property: the three transports (in-proc loopback, forked
+pipe workers, TCP to remote workers) are behaviorally interchangeable --
 bitwise-identical step results, monitor verdicts, TTL evictions, and
 statistics versus the single-process engine at every shard count, and a
 snapshot taken under one transport restores under any other and continues
@@ -31,7 +30,7 @@ from repro.serving import (
 )
 from repro.serving.transport import parse_address, resolve_transport
 
-TRANSPORTS = ("inproc", "pipe", "shm", "tcp")
+TRANSPORTS = ("inproc", "pipe", "tcp")
 
 
 def make_factory(synthetic_stack, **kwargs):
@@ -334,6 +333,64 @@ class TestWorkerDeath:
             assert 0 in cluster.dead_shards
             for worker in cluster._workers[1:]:
                 assert worker.request("stats")["tick"] >= 2
+
+    def test_window_one_reply_echoing_another_tick_is_refused(
+        self, synthetic_stack, series_maker
+    ):
+        # Every step frame is tick-tagged, window 1 included: an ok reply
+        # that echoes some other tick is out of protocol, exactly like a
+        # garbage reply -- it is never merged into the tick in flight.
+        from repro.serving.protocol import decode_request_full, encode_reply
+        from repro.serving.transport import (
+            ChannelEndpoint,
+            Transport,
+            WorkerServicer,
+        )
+
+        class StaleEchoChannel:
+            """An in-process worker whose ok step replies echo tick 0."""
+
+            def __init__(self, factory):
+                self._servicer = WorkerServicer(factory())
+                self._replies = []
+
+            def send_bytes(self, data):
+                command, payload, _, tick = decode_request_full(data)
+                if command == "hello":
+                    reply = ("ok", self._servicer.engine_shape())
+                else:
+                    reply = ("ok", self._servicer.handle(command, payload))
+                echo = 0 if command == "step" else tick
+                self._replies.append(encode_reply(command, reply, tick=echo))
+
+            def recv_bytes(self):
+                return self._replies.pop(0)
+
+            def set_timeout(self, timeout):
+                pass
+
+            def close(self):
+                pass
+
+        class StaleEchoTransport(Transport):
+            name = "stale-echo"
+
+            def connect(self, shard, engine_factory):
+                return ChannelEndpoint(shard, StaleEchoChannel(engine_factory))
+
+        rng = np.random.default_rng(377)
+        series = series_maker(rng, n_series=4, length=1)
+        ids = [f"s{sid}" for sid in range(4)]
+        factory = make_factory(synthetic_stack)
+        with ShardedEngine(
+            factory, 1, transport=StaleEchoTransport(), inflight_window=1
+        ) as cluster:
+            with pytest.raises(ClusterWorkerError, match="tick echo") as excinfo:
+                cluster.step_batch(tick_frames(series, ids, 0))
+            assert excinfo.value.shard == 0
+            assert cluster._workers[0].alive is False
+            assert cluster.dead_shards == [0]
+            assert cluster.tick == 0
 
 
 class TestTransportEdges:

@@ -297,6 +297,7 @@ class TestObservabilityCLI:
             args = build_parser().parse_args([command, "--smoke"])
             assert args.metrics_port is None
             assert args.telemetry_window == 4096
+            assert args.inflight_window == 1
         cluster = build_parser().parse_args(["serve-cluster", "--smoke"])
         assert cluster.flight_record is None
         worker = build_parser().parse_args(

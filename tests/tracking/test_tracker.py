@@ -58,6 +58,28 @@ class TestSignTracker:
         assert onsets[0] == 0
         assert ds[0].n_frames in onsets
 
+    def test_gate_threshold_is_the_chi2_quantile_bitwise(self):
+        from scipy.stats import chi2
+
+        for p in np.linspace(0.001, 0.999, 999):
+            assert SignTracker(gate_probability=p).gate_threshold == float(
+                chi2.ppf(p, df=2)
+            )
+
+    def test_import_does_not_load_scipy_stats(self):
+        import subprocess
+        import sys
+
+        code = (
+            "import sys, repro.tracking; "
+            "print('scipy.stats' in sys.modules)"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True,
+            check=True,
+        )
+        assert out.stdout.strip() == "False"
+
     def test_bad_gate_probability_rejected(self):
         with pytest.raises(ValidationError):
             SignTracker(gate_probability=1.0)
